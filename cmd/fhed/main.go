@@ -18,8 +18,8 @@
 // ramps offered concurrency against a target server (an in-process one
 // when -url is empty), retries backpressure with jittered exponential
 // backoff honoring Retry-After, optionally drives fault-inject/detect/
-// recover cycles, and writes the measured service profile as
-// BENCH_fhed.json for the benchdiff perf-trajectory gate.
+// recover cycles, and writes the measured service profile as a bench/v2
+// report (BENCH_fhed.json) for the benchdiff perf-trajectory gate.
 package main
 
 import (
@@ -28,9 +28,9 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 	"time"
 
+	"repro/internal/benchdiff"
 	"repro/internal/fherr"
 	"repro/internal/obs"
 	"repro/internal/server"
@@ -135,17 +135,7 @@ func runLoad(o loadOpts, logger *log.Logger) error {
 		return err
 	}
 
-	// Stamp provenance the same way the simfhe bench reports do.
-	full := struct {
-		*server.LoadReport
-		Meta loadMeta `json:"meta"`
-	}{rep, collectLoadMeta(fmt.Sprintf("window=%v ramp=%s repeat=%d chaos=%v", o.window, o.ramp, o.repeat, o.chaos))}
-
-	data, err := json.MarshalIndent(full, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(o.out, append(data, '\n'), 0o644); err != nil {
+	if err := writeLoadReport(rep, o); err != nil {
 		return err
 	}
 	logger.Printf("loadgen: report written to %s (max sustained %.1f rps, saturation reject rate %.1f%%)",
@@ -168,24 +158,28 @@ func runLoad(o loadOpts, logger *log.Logger) error {
 	return nil
 }
 
-type loadMeta struct {
-	GoVersion  string `json:"go_version"`
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"num_cpu"`
-	Params     string `json:"params"`
-}
-
-func collectLoadMeta(params string) loadMeta {
-	return loadMeta{
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Params:     params,
+// writeLoadReport writes the run as bench/v2 records: per-op latency
+// percentiles and the sustained rate are wall clock; the chaos cycle
+// counts of a healthy run are fixed by the cycle count, so they are
+// deterministic.
+func writeLoadReport(rep *server.LoadReport, o loadOpts) error {
+	b := benchdiff.New(fmt.Sprintf("window=%v ramp=%s repeat=%d chaos=%v", o.window, o.ramp, o.repeat, o.chaos), "")
+	for _, op := range rep.Ops {
+		b.Add("fhed/"+op.Name+"/p50_us", "us", op.P50Us, benchdiff.Lower, benchdiff.Wallclock)
+		b.Add("fhed/"+op.Name+"/p95_us", "us", op.P95Us, benchdiff.Lower, benchdiff.Wallclock)
 	}
+	b.Add("fhed/max_sustained_rps", "1/s", rep.MaxSustainedRPS, benchdiff.Higher, benchdiff.Wallclock)
+	if ch := rep.Chaos; ch != nil {
+		b.Add("fhed/chaos/cycles", "count", float64(ch.Cycles), benchdiff.Higher, benchdiff.Deterministic)
+		b.Add("fhed/chaos/detected", "count", float64(ch.Detected), benchdiff.Higher, benchdiff.Deterministic)
+		b.Add("fhed/chaos/recovered", "count", float64(ch.Recovered), benchdiff.Higher, benchdiff.Deterministic)
+		b.Add("fhed/chaos/missed", "count", float64(ch.Missed), benchdiff.Lower, benchdiff.Deterministic)
+	}
+	data, err := json.MarshalIndent(b, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(o.out, append(data, '\n'), 0o644)
 }
 
 func splitComma(s string) []string {

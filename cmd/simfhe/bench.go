@@ -2,11 +2,9 @@ package main
 
 // The bench subcommand complements the simulator: where every other
 // subcommand reports *modeled* costs, bench measures the functional
-// library on real silicon, sweeping the evaluator's worker knob across a
-// bootstrap-scale workload and writing the results as machine-readable
-// JSON (BENCH_parallel.json). The outputs at every worker count are
-// bit-identical — the tests assert it — so the sweep isolates pure
-// wall-clock effects of limb-level parallelism.
+// library on real silicon. Each suite writes a bench/v2 report (see
+// internal/benchdiff) that `simfhe benchdiff` gates against the
+// committed BENCH_<suite>.json baseline.
 
 import (
 	"encoding/json"
@@ -19,32 +17,33 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/benchdiff"
 	"repro/internal/bootstrap"
 	"repro/internal/ckks"
 	"repro/internal/prng"
 )
 
-// benchResult is one (workload, workers) measurement.
-type benchResult struct {
-	Workers int     `json:"workers"`
-	Iters   int     `json:"iters"`
-	NsPerOp int64   `json:"ns_per_op"`
-	Speedup float64 `json:"speedup_vs_serial"`
+// benchSuites is the one registry of measured suites: `simfhe bench`
+// runs a suite and writes its report, `simfhe benchdiff` runs one
+// in-process when no fresh report is given. A suite returns its report
+// even when its own acceptance gate fails (the error), so the report is
+// written before the nonzero exit. Only the parallel suite reads the
+// worker counts.
+var benchSuites = map[string]func(workers []int) (*benchdiff.Bench, error){
+	"parallel": benchParallelSuite,
+	"extend":   func([]int) (*benchdiff.Bench, error) { return benchExtendSuite(), nil },
+	"ntt":      func([]int) (*benchdiff.Bench, error) { return benchNTTSuite() },
+	"keys":     func([]int) (*benchdiff.Bench, error) { return benchKeysSuite() },
 }
 
-type benchWorkload struct {
-	Name    string        `json:"name"`
-	LogN    int           `json:"logN"`
-	Limbs   int           `json:"limbs"`
-	Results []benchResult `json:"results"`
-}
-
-type benchReport struct {
-	Meta       runMeta         `json:"meta"`
-	GoMaxProcs int             `json:"gomaxprocs"`
-	NumCPU     int             `json:"num_cpu"`
-	Note       string          `json:"note"`
-	Workloads  []benchWorkload `json:"workloads"`
+// benchSuiteNames lists the registry for usage and error messages.
+func benchSuiteNames() string {
+	names := make([]string, 0, len(benchSuites))
+	for name := range benchSuites {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return strings.Join(names, ", ")
 }
 
 func parseWorkerList(s string) ([]int, error) {
@@ -76,88 +75,70 @@ func benchCmd(args []string) {
 	suite := fs.String("suite", "parallel", "benchmark suite: parallel (worker sweep), extend (basis-extension kernels), ntt (fused NTT kernels + traffic replay), keys (key-vault budgets on bootstrap)")
 	out := fs.String("out", "", "output JSON file (- for stdout; default BENCH_<suite>.json)")
 	fs.Parse(args)
-	switch *suite {
-	case "parallel":
-		if *out == "" {
-			*out = "BENCH_parallel.json"
-		}
-	case "extend":
-		if *out == "" {
-			*out = "BENCH_extend.json"
-		}
-		benchExtendSuite(*out)
-		return
-	case "ntt":
-		if *out == "" {
-			*out = "BENCH_ntt.json"
-		}
-		benchNTTSuite(*out)
-		return
-	case "keys":
-		if *out == "" {
-			*out = "BENCH_keys.json"
-		}
-		benchKeysSuite(*out)
-		return
-	default:
-		fmt.Fprintf(os.Stderr, "bench: unknown suite %q (want parallel, extend, ntt or keys)\n", *suite)
+	run, ok := benchSuites[*suite]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "bench: unknown suite %q (want %s)\n", *suite, benchSuiteNames())
 		os.Exit(2)
+	}
+	if *out == "" {
+		*out = "BENCH_" + *suite + ".json"
 	}
 	counts, err := parseWorkerList(*workersFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		os.Exit(2)
 	}
+	report, gateErr := run(counts)
+	writeBenchJSON(report, *out)
+	if gateErr != nil {
+		fmt.Fprintln(os.Stderr, "bench: FAIL —", gateErr)
+		os.Exit(1)
+	}
+}
 
-	report := benchReport{
-		Meta:       collectMeta(fmt.Sprintf("suite=parallel workers=%v", counts)),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Note: "outputs are bit-identical at every worker count; speedup needs " +
-			"num_cpu > 1 — on a single-core host the sweep measures pool overhead only",
+// benchParallelSuite sweeps the evaluator's worker knob across a
+// bootstrap-scale workload and a hoisted-rotation workload. The outputs
+// at every worker count are bit-identical — the tests assert it — so the
+// sweep isolates pure wall-clock effects of limb-level parallelism.
+func benchParallelSuite(counts []int) (*benchdiff.Bench, error) {
+	report := benchdiff.New(fmt.Sprintf("suite=parallel workers=%v", counts),
+		"outputs are bit-identical at every worker count; speedup needs "+
+			"num_cpu > 1 — on a single-core host the sweep measures pool overhead only")
+	sweep := func(name string, setWorkers func(int), op func()) {
+		fmt.Fprintf(os.Stderr, "bench: measuring %s workload ...\n", name)
+		var serial float64
+		for _, w := range counts {
+			setWorkers(w)
+			r := testing.Benchmark(func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					op()
+				}
+			})
+			ns := float64(r.NsPerOp())
+			if serial == 0 {
+				serial = ns
+			}
+			prefix := fmt.Sprintf("parallel/%s/w%d/", name, w)
+			report.Add(prefix+"ns_per_op", "ns", ns, benchdiff.Lower, benchdiff.Wallclock)
+			report.Add(prefix+"speedup", "x", serial/ns, benchdiff.Higher, benchdiff.Wallclock)
+			fmt.Fprintf(os.Stderr, "bench: %s workers=%d %d ns/op (%d iters)\n", name, w, r.NsPerOp(), r.N)
+		}
 	}
 
 	// Bootstrap-scale workload: 17 Q-limbs, the full modRaise → CoeffToSlot
 	// → EvalMod → SlotToCoeff pipeline.
-	fmt.Fprintln(os.Stderr, "bench: measuring bootstrap workload ...")
-	btp, ct, logN, limbs := benchBootSetup()
-	wl := benchWorkload{Name: "bootstrap", LogN: logN, Limbs: limbs}
-	for _, w := range counts {
-		btp.SetWorkers(w)
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = btp.Bootstrap(ct)
-			}
-		})
-		wl.Results = append(wl.Results, benchResult{Workers: w, Iters: r.N, NsPerOp: r.NsPerOp()})
-		fmt.Fprintf(os.Stderr, "bench: bootstrap workers=%d %d ns/op (%d iters)\n", w, r.NsPerOp(), r.N)
-	}
-	fillSpeedups(&wl)
-	report.Workloads = append(report.Workloads, wl)
+	btp, ct := benchBootSetup()
+	sweep("bootstrap", btp.SetWorkers, func() { _ = btp.Bootstrap(ct) })
 
 	// Hoisted-rotation workload: 8 rotations sharing one decomposition at
 	// N = 2^12 — the CoeffToSlot/SlotToCoeff inner kernel in isolation.
-	fmt.Fprintln(os.Stderr, "bench: measuring rotate_hoisted workload ...")
-	ev, rct, steps, rLogN, rLimbs := benchRotateSetup()
-	rl := benchWorkload{Name: "rotate_hoisted", LogN: rLogN, Limbs: rLimbs}
-	for _, w := range counts {
-		ev.SetWorkers(w)
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = ev.RotateHoisted(rct, steps)
-			}
-		})
-		rl.Results = append(rl.Results, benchResult{Workers: w, Iters: r.N, NsPerOp: r.NsPerOp()})
-		fmt.Fprintf(os.Stderr, "bench: rotate_hoisted workers=%d %d ns/op (%d iters)\n", w, r.NsPerOp(), r.N)
-	}
-	fillSpeedups(&rl)
-	report.Workloads = append(report.Workloads, rl)
-
-	writeBenchJSON(report, *out)
+	ev, rct, steps := benchRotateSetup()
+	sweep("rotate_hoisted", ev.SetWorkers, func() { _ = ev.RotateHoisted(rct, steps) })
+	return report, nil
 }
 
-// writeBenchJSON marshals any suite report to the given path (- for
-// stdout), exiting on failure.
+// writeBenchJSON marshals any report to the given path (- for stdout),
+// exiting on failure.
 func writeBenchJSON(report any, out string) {
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
@@ -176,19 +157,7 @@ func writeBenchJSON(report any, out string) {
 	fmt.Fprintf(os.Stderr, "wrote benchmark report to %s\n", out)
 }
 
-// fillSpeedups normalizes each measurement against the workload's
-// workers=1 run (or the smallest measured count if 1 was excluded).
-func fillSpeedups(wl *benchWorkload) {
-	if len(wl.Results) == 0 {
-		return
-	}
-	base := float64(wl.Results[0].NsPerOp)
-	for i := range wl.Results {
-		wl.Results[i].Speedup = base / float64(wl.Results[i].NsPerOp)
-	}
-}
-
-func benchBootSetup() (*bootstrap.Bootstrapper, *ckks.Ciphertext, int, int) {
+func benchBootSetup() (*bootstrap.Bootstrapper, *ckks.Ciphertext) {
 	logQ := []int{48}
 	for i := 0; i < 16; i++ {
 		logQ = append(logQ, 40)
@@ -213,10 +182,10 @@ func benchBootSetup() (*bootstrap.Bootstrapper, *ckks.Ciphertext, int, int) {
 	enc := ckks.NewEncoder(params)
 	ct := ckks.NewSecretKeyEncryptor(params, sk, src).Encrypt(enc.Encode(make([]complex128, params.Slots())))
 	ct = btp.Evaluator().DropLevel(ct, 0)
-	return btp, ct, 10, len(logQ)
+	return btp, ct
 }
 
-func benchRotateSetup() (*ckks.Evaluator, *ckks.Ciphertext, []int, int, int) {
+func benchRotateSetup() (*ckks.Evaluator, *ckks.Ciphertext, []int) {
 	params, err := ckks.NewParameters(ckks.ParametersLiteral{
 		LogN:     12,
 		LogQ:     []int{50, 40, 40, 40, 40, 40},
@@ -237,5 +206,5 @@ func benchRotateSetup() (*ckks.Evaluator, *ckks.Ciphertext, []int, int, int) {
 	ev := ckks.NewEvaluator(params, &ckks.EvaluationKeySet{Galois: gks})
 	enc := ckks.NewEncoder(params)
 	ct := ckks.NewSecretKeyEncryptor(params, sk, src).Encrypt(enc.Encode(make([]complex128, params.Slots())))
-	return ev, ct, steps, 12, 6
+	return ev, ct, steps
 }

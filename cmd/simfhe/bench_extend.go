@@ -5,50 +5,22 @@ package main
 // the basis-pair shapes key switching exercises, plus the full ModUp /
 // ModDown pipelines whose steady state must be allocation-free. Results
 // land in BENCH_extend.json so the acceptance numbers (≥ 2× over the
-// reference kernel, 0 allocs/op) are recorded alongside the code.
+// reference kernel, 0 allocs/op) are recorded alongside the code. The
+// pipelines' allocated bytes per op are not recorded: at 0 allocs/op
+// they only count sync.Pool refills after the benchmark's own GCs,
+// amortized over however many iterations ran.
 
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"testing"
 
+	"repro/internal/benchdiff"
 	"repro/internal/mathutil"
 	"repro/internal/prng"
 	"repro/internal/ring"
 	"repro/internal/rns"
 )
-
-// extendKernelResult is one basis-pair shape, lazy vs reference.
-type extendKernelResult struct {
-	Name        string  `json:"name"`
-	InLimbs     int     `json:"in_limbs"`
-	OutLimbs    int     `json:"out_limbs"`
-	NsLazy      int64   `json:"ns_lazy"`
-	NsReference int64   `json:"ns_reference"`
-	Speedup     float64 `json:"speedup"`
-	AllocsLazy  int64   `json:"allocs_per_op_lazy"`
-}
-
-// extendPipelineResult is a full ModUp/ModDown steady-state measurement.
-type extendPipelineResult struct {
-	Name        string `json:"name"`
-	NsPerOp     int64  `json:"ns_per_op"`
-	AllocsPerOp int64  `json:"allocs_per_op"`
-	BytesPerOp  int64  `json:"bytes_per_op"`
-}
-
-type extendReport struct {
-	Meta       runMeta                `json:"meta"`
-	GoMaxProcs int                    `json:"gomaxprocs"`
-	NumCPU     int                    `json:"num_cpu"`
-	LogN       int                    `json:"logN"`
-	Tile       int                    `json:"extend_tile"`
-	Note       string                 `json:"note"`
-	Kernels    []extendKernelResult   `json:"kernels"`
-	Pipelines  []extendPipelineResult `json:"pipelines"`
-	TableKeyNs float64                `json:"table_key_ns"`
-}
 
 // benchExtendBases mirrors the layout of the package benchmarks: an
 // 18-limb Q chain and a 3-limb P basis of 40-bit NTT primes at N = 2^13.
@@ -74,7 +46,7 @@ func benchExtendInput(src *prng.Source, tab *rns.ExtTable, n int) (in, out [][]u
 	return in, out
 }
 
-func benchExtendSuite(outPath string) {
+func benchExtendSuite() *benchdiff.Bench {
 	const logN = 13
 	const n = 1 << logN
 	qMod, pMod := benchExtendBases()
@@ -82,15 +54,9 @@ func benchExtendSuite(outPath string) {
 	copy(seed[:], "simfhe bench deterministic seed")
 	src := prng.NewSource(seed)
 
-	report := extendReport{
-		Meta:       collectMeta(fmt.Sprintf("suite=extend logN=%d tile=%d", logN, rns.ExtendTile)),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		LogN:       logN,
-		Tile:       rns.ExtendTile,
-		Note: "lazy = tiled 128-bit-accumulating Extend; reference = retained " +
-			"scalar oracle (bit-identical outputs, enforced by tests)",
-	}
+	report := benchdiff.New(fmt.Sprintf("suite=extend logN=%d tile=%d", logN, rns.ExtendTile),
+		"lazy = tiled 128-bit-accumulating Extend; reference = retained "+
+			"scalar oracle (bit-identical outputs, enforced by tests)")
 
 	shapes := []struct {
 		name    string
@@ -114,15 +80,11 @@ func benchExtendSuite(outPath string) {
 				tab.ExtendReference(in, out)
 			}
 		})
-		report.Kernels = append(report.Kernels, extendKernelResult{
-			Name:        sh.name,
-			InLimbs:     len(sh.in),
-			OutLimbs:    len(sh.out),
-			NsLazy:      lazy.NsPerOp(),
-			NsReference: ref.NsPerOp(),
-			Speedup:     float64(ref.NsPerOp()) / float64(lazy.NsPerOp()),
-			AllocsLazy:  lazy.AllocsPerOp(),
-		})
+		prefix := "extend/kernel/" + sh.name + "/"
+		report.Add(prefix+"lazy_ns", "ns", float64(lazy.NsPerOp()), benchdiff.Lower, benchdiff.Wallclock)
+		report.Add(prefix+"reference_ns", "ns", float64(ref.NsPerOp()), benchdiff.Lower, benchdiff.Wallclock)
+		report.Add(prefix+"speedup", "x", float64(ref.NsPerOp())/float64(lazy.NsPerOp()), benchdiff.Higher, benchdiff.Wallclock)
+		report.Add(prefix+"lazy_allocs_per_op", "allocs", float64(lazy.AllocsPerOp()), benchdiff.Lower, benchdiff.Deterministic)
 		fmt.Fprintf(os.Stderr, "bench: extend %s lazy=%d ns/op reference=%d ns/op (%.2fx)\n",
 			sh.name, lazy.NsPerOp(), ref.NsPerOp(), float64(ref.NsPerOp())/float64(lazy.NsPerOp()))
 	}
@@ -164,12 +126,9 @@ func benchExtendSuite(outPath string) {
 		name string
 		r    testing.BenchmarkResult
 	}{{"modup_digit", modUp}, {"moddown", modDown}} {
-		report.Pipelines = append(report.Pipelines, extendPipelineResult{
-			Name:        pr.name,
-			NsPerOp:     pr.r.NsPerOp(),
-			AllocsPerOp: pr.r.AllocsPerOp(),
-			BytesPerOp:  pr.r.AllocedBytesPerOp(),
-		})
+		prefix := "extend/pipeline/" + pr.name + "/"
+		report.Add(prefix+"ns_per_op", "ns", float64(pr.r.NsPerOp()), benchdiff.Lower, benchdiff.Wallclock)
+		report.Add(prefix+"allocs_per_op", "allocs", float64(pr.r.AllocsPerOp()), benchdiff.Lower, benchdiff.Deterministic)
 		fmt.Fprintf(os.Stderr, "bench: %s %d ns/op %d allocs/op\n",
 			pr.name, pr.r.NsPerOp(), pr.r.AllocsPerOp())
 	}
@@ -183,8 +142,8 @@ func benchExtendSuite(outPath string) {
 			}
 		}
 	})
-	report.TableKeyNs = float64(keyBench.T.Nanoseconds()) / float64(keyBench.N)
-	fmt.Fprintf(os.Stderr, "bench: table_key %.1f ns/op\n", report.TableKeyNs)
-
-	writeBenchJSON(report, outPath)
+	keyNs := float64(keyBench.T.Nanoseconds()) / float64(keyBench.N)
+	report.Add("extend/table_key_ns", "ns", keyNs, benchdiff.Lower, benchdiff.Wallclock)
+	fmt.Fprintf(os.Stderr, "bench: table_key %.1f ns/op\n", keyNs)
+	return report
 }

@@ -19,14 +19,17 @@ package main
 //   - the golden contract: every budget point decrypts bit-identical to
 //     the fully-materialized baseline.
 //
-// Results land in BENCH_keys.json; benchdiff gates the per-point ns/op
-// against the committed baseline.
+// Results land in BENCH_keys.json; benchdiff holds the byte and vault
+// counts to ±1% (deterministic records) and the per-point ns/op loosely
+// (wall-clock records). The overhead percentages are printed and gated
+// here, not recorded: they are signed, so no ratio gate fits them.
 
 import (
 	"fmt"
 	"os"
 	"time"
 
+	"repro/internal/benchdiff"
 	"repro/internal/ckks"
 	"repro/internal/memtrace"
 )
@@ -39,58 +42,6 @@ const (
 	// the fitting budget, in percent.
 	keysOverheadGate = 10.0
 )
-
-// keysVaultStats is the per-point slice of the evaluator's cumulative
-// vault counters (the evaluator is shared across points, so raw
-// snapshots would smear points together).
-type keysVaultStats struct {
-	Hits          uint64 `json:"hits"`
-	Misses        uint64 `json:"misses"`
-	Expansions    uint64 `json:"expansions"`
-	Evictions     uint64 `json:"evictions"`
-	ResidentBytes int64  `json:"resident_bytes"` // absolute, end of point
-}
-
-type keysPoint struct {
-	Name        string  `json:"name"`
-	BudgetBytes int64   `json:"budget_bytes"` // -1 fully materialized, 0 unlimited vault
-	NsPerOp     int64   `json:"ns_per_op"`    // min of 3 warm runs
-	OverheadPct float64 `json:"overhead_vs_baseline_pct"`
-	// ResidentKeyBytes is the full key footprint at the end of the
-	// point: b halves and seeds held by the key structs, plus the
-	// vault-resident a halves.
-	ResidentKeyBytes   int64   `json:"resident_key_bytes"`
-	ResidentReductionX float64 `json:"resident_reduction_x"`
-	// Key-class DRAM traffic of one traced bootstrap, replayed through
-	// the infinite cache.
-	KeyReadBytes  uint64          `json:"key_read_bytes"`
-	KeyWriteBytes uint64          `json:"key_write_bytes"`
-	BitIdentical  bool            `json:"bit_identical_to_baseline"`
-	Vault         *keysVaultStats `json:"vault,omitempty"`
-}
-
-type keysGates struct {
-	ResidentReductionX    float64 `json:"resident_reduction_x"` // at the constrained point
-	MinResidentReductionX float64 `json:"min_resident_reduction_x"`
-	FittingOverheadPct    float64 `json:"fitting_overhead_pct"`
-	MaxFittingOverheadPct float64 `json:"max_fitting_overhead_pct"`
-	KeyTrafficReductionX  float64 `json:"key_traffic_reduction_x"` // reported, gated by calib
-	BitIdentical          bool    `json:"bit_identical"`
-	Pass                  bool    `json:"pass"`
-}
-
-type keysBenchReport struct {
-	Meta              runMeta     `json:"meta"`
-	Note              string      `json:"note"`
-	LogN              int         `json:"logN"`
-	Limbs             int         `json:"limbs"`
-	GaloisKeys        int         `json:"galois_keys"`
-	DigitBytes        int64       `json:"digit_bytes"`
-	FullResidentBytes int64       `json:"full_resident_bytes"`
-	SeedOnlyBytes     int64       `json:"seed_only_bytes"`
-	Points            []keysPoint `json:"points"`
-	Gates             keysGates   `json:"gates"`
-}
 
 // keysResident sums the key footprint: switching-key structs (b halves,
 // seeds, any materialized a halves) plus vault-resident a halves.
@@ -135,9 +86,9 @@ func keysTraceBootstrap(run func(), flush func(), ev *ckks.Evaluator) (uint64, u
 	return t.ReadBytes[memtrace.ClassKey], t.WriteBytes[memtrace.ClassKey]
 }
 
-func benchKeysSuite(out string) {
+func benchKeysSuite() (*benchdiff.Bench, error) {
 	fmt.Fprintln(os.Stderr, "bench: keys suite — seed-backed key vault on the bootstrap workload")
-	btp, ct, logN, limbs := benchBootSetup()
+	btp, ct := benchBootSetup()
 	ev := btp.Evaluator()
 	params := ev.Params()
 	keys := ev.Keys()
@@ -166,23 +117,26 @@ func benchKeysSuite(out string) {
 	fmt.Fprintf(os.Stderr, "bench: keys baseline %d ns/op, %d MiB resident, %d MiB key reads\n",
 		baseNs, fullResident>>20, baseRead>>20)
 
-	report := keysBenchReport{
-		Meta:  collectMeta("suite=keys"),
-		LogN:  logN,
-		Limbs: limbs,
-		Note: "bootstrap workload; ns_per_op is min-of-3 warm runs; key traffic is one " +
-			"traced bootstrap replayed at infinite cache (compulsory reads + dirty " +
-			"writebacks), vault a-halves regenerate on chip and are discarded — the " +
-			"finite-capacity direction is gated by the calib key_compress toggle",
-		GaloisKeys:        len(keys.Galois),
-		DigitBytes:        digitBytes,
-		FullResidentBytes: fullResident,
+	report := benchdiff.New(fmt.Sprintf("suite=keys logN=%d limbs=%d digit_bytes=%d", params.LogN(), params.MaxLevel()+1, digitBytes),
+		"bootstrap workload; ns_per_op is min-of-3 warm runs; key traffic is one "+
+			"traced bootstrap replayed at infinite cache (compulsory reads + dirty "+
+			"writebacks), vault a-halves regenerate on chip and are discarded — the "+
+			"finite-capacity direction is gated by the calib key_compress toggle")
+	report.Add("keys/galois_keys", "keys", float64(len(keys.Galois)), benchdiff.Lower, benchdiff.Deterministic)
+	addPoint := func(name string, ns, resident int64, reduction float64, kr, kw uint64, identical bool) {
+		prefix := "keys/" + name + "/"
+		bit := 0.0
+		if identical {
+			bit = 1
+		}
+		report.Add(prefix+"ns_per_op", "ns", float64(ns), benchdiff.Lower, benchdiff.Wallclock)
+		report.Add(prefix+"resident_key_bytes", "bytes", float64(resident), benchdiff.Lower, benchdiff.Deterministic)
+		report.Add(prefix+"resident_reduction_x", "x", reduction, benchdiff.Higher, benchdiff.Deterministic)
+		report.Add(prefix+"key_read_bytes", "bytes", float64(kr), benchdiff.Lower, benchdiff.Deterministic)
+		report.Add(prefix+"key_write_bytes", "bytes", float64(kw), benchdiff.Lower, benchdiff.Deterministic)
+		report.Add(prefix+"bit_identical", "bool", bit, benchdiff.Higher, benchdiff.Deterministic)
 	}
-	report.Points = append(report.Points, keysPoint{
-		Name: "baseline_expanded", BudgetBytes: -1, NsPerOp: baseNs,
-		ResidentKeyBytes: fullResident, ResidentReductionX: 1,
-		KeyReadBytes: baseRead, KeyWriteBytes: baseWrite, BitIdentical: true,
-	})
+	addPoint("baseline_expanded", baseNs, fullResident, 1, baseRead, baseWrite, true)
 
 	// Vault points: the same keys dropped to seed-only form. The fitting
 	// budget holds every a half at once (expand once, hit forever); the
@@ -190,7 +144,7 @@ func benchKeysSuite(out string) {
 	// eviction and re-expansion.
 	dropAll()
 	seedOnly := keysResident(params, ev)
-	report.SeedOnlyBytes = seedOnly
+	report.Add("keys/seed_only_bytes", "bytes", float64(seedOnly), benchdiff.Lower, benchdiff.Deterministic)
 	aTotal := fullResident - seedOnly
 	budgets := []struct {
 		name   string
@@ -200,6 +154,10 @@ func benchKeysSuite(out string) {
 		{"vault_fitting", aTotal + digitBytes},
 		{"vault_constrained", aTotal / 4},
 	}
+	var (
+		fittingOverhead, constrainedReduction, trafficReduction float64
+		allIdentical                                            = true
+	)
 	prev := ev.KeyVaultStats()
 	for _, bp := range budgets {
 		ev.FlushKeyVault()
@@ -215,69 +173,44 @@ func benchKeysSuite(out string) {
 		// at window end — the replay charges only the b-half stream.
 		ev.FlushKeyVault()
 		kr, kw := keysTraceBootstrap(func() { _ = btp.Bootstrap(ct) }, ev.FlushKeyVault, ev)
-		p := keysPoint{
-			Name:               bp.name,
-			BudgetBytes:        bp.budget,
-			NsPerOp:            ns,
-			OverheadPct:        100 * (float64(ns) - float64(baseNs)) / float64(baseNs),
-			ResidentKeyBytes:   resident,
-			ResidentReductionX: float64(fullResident) / float64(resident),
-			KeyReadBytes:       kr,
-			KeyWriteBytes:      kw,
-			BitIdentical:       outCt.C0.Equal(ref.C0) && outCt.C1.Equal(ref.C1),
-			Vault: &keysVaultStats{
-				Hits:          st.Hits - prev.Hits,
-				Misses:        st.Misses - prev.Misses,
-				Expansions:    st.Expansions - prev.Expansions,
-				Evictions:     st.Evictions - prev.Evictions,
-				ResidentBytes: st.ResidentBytes,
-			},
-		}
+		overhead := 100 * (float64(ns) - float64(baseNs)) / float64(baseNs)
+		reduction := float64(fullResident) / float64(resident)
+		identical := outCt.C0.Equal(ref.C0) && outCt.C1.Equal(ref.C1)
+		addPoint(bp.name, ns, resident, reduction, kr, kw, identical)
+		// The evaluator is shared across points, so the vault counters are
+		// per-point deltas of its cumulative stats.
+		prefix := "keys/" + bp.name + "/vault_"
+		report.Add(prefix+"hits", "count", float64(st.Hits-prev.Hits), benchdiff.Higher, benchdiff.Deterministic)
+		report.Add(prefix+"misses", "count", float64(st.Misses-prev.Misses), benchdiff.Lower, benchdiff.Deterministic)
+		report.Add(prefix+"expansions", "count", float64(st.Expansions-prev.Expansions), benchdiff.Lower, benchdiff.Deterministic)
+		report.Add(prefix+"evictions", "count", float64(st.Evictions-prev.Evictions), benchdiff.Lower, benchdiff.Deterministic)
+		report.Add(prefix+"resident_bytes", "bytes", float64(st.ResidentBytes), benchdiff.Lower, benchdiff.Deterministic)
 		prev = ev.KeyVaultStats()
-		report.Points = append(report.Points, p)
 		fmt.Fprintf(os.Stderr, "bench: keys %s budget=%d MiB %d ns/op (%+.1f%%), resident %d MiB (%.2fx), key reads %d MiB, identical=%v\n",
-			bp.name, bp.budget>>20, ns, p.OverheadPct, resident>>20, p.ResidentReductionX, kr>>20, p.BitIdentical)
-	}
+			bp.name, bp.budget>>20, ns, overhead, resident>>20, reduction, kr>>20, identical)
 
-	// Gates.
-	g := &report.Gates
-	g.MinResidentReductionX = keysResidentGate
-	g.MaxFittingOverheadPct = keysOverheadGate
-	g.BitIdentical = true
-	for _, p := range report.Points {
-		if !p.BitIdentical {
-			g.BitIdentical = false
-		}
-		switch p.Name {
+		allIdentical = allIdentical && identical
+		switch bp.name {
 		case "vault_fitting":
-			g.FittingOverheadPct = p.OverheadPct
+			fittingOverhead = overhead
 		case "vault_constrained":
-			g.ResidentReductionX = p.ResidentReductionX
-			if p.KeyReadBytes+p.KeyWriteBytes > 0 {
-				g.KeyTrafficReductionX = float64(baseRead+baseWrite) / float64(p.KeyReadBytes+p.KeyWriteBytes)
+			constrainedReduction = reduction
+			if kr+kw > 0 {
+				trafficReduction = float64(baseRead+baseWrite) / float64(kr+kw)
 			}
 		}
 	}
-	g.Pass = g.BitIdentical &&
-		g.ResidentReductionX >= g.MinResidentReductionX &&
-		g.FittingOverheadPct < g.MaxFittingOverheadPct
+	report.Add("keys/key_traffic_reduction_x", "x", trafficReduction, benchdiff.Higher, benchdiff.Deterministic)
 
-	writeBenchJSON(report, out)
-
-	if !g.BitIdentical {
-		fmt.Fprintln(os.Stderr, "bench: FAIL — a budget point diverged from the fully-materialized baseline")
-		os.Exit(1)
-	}
-	if g.ResidentReductionX < g.MinResidentReductionX {
-		fmt.Fprintf(os.Stderr, "bench: FAIL — constrained resident reduction %.2fx below the %.1fx gate\n",
-			g.ResidentReductionX, g.MinResidentReductionX)
-		os.Exit(1)
-	}
-	if g.FittingOverheadPct >= g.MaxFittingOverheadPct {
-		fmt.Fprintf(os.Stderr, "bench: FAIL — fitting-budget overhead %.1f%% at or above the %.0f%% gate\n",
-			g.FittingOverheadPct, g.MaxFittingOverheadPct)
-		os.Exit(1)
+	switch {
+	case !allIdentical:
+		return report, fmt.Errorf("a budget point diverged from the fully-materialized baseline")
+	case constrainedReduction < keysResidentGate:
+		return report, fmt.Errorf("constrained resident reduction %.2fx below the %.1fx gate", constrainedReduction, keysResidentGate)
+	case fittingOverhead >= keysOverheadGate:
+		return report, fmt.Errorf("fitting-budget overhead %.1f%% at or above the %.0f%% gate", fittingOverhead, keysOverheadGate)
 	}
 	fmt.Fprintf(os.Stderr, "bench: keys gates PASS (resident %.2fx, overhead %.1f%%, key traffic %.2fx, bit-identical)\n",
-		g.ResidentReductionX, g.FittingOverheadPct, g.KeyTrafficReductionX)
+		constrainedReduction, fittingOverhead, trafficReduction)
+	return report, nil
 }

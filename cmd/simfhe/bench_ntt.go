@@ -19,55 +19,21 @@ package main
 // dwarfs a limb the memory-schedule win is invisible in wall-clock time
 // (see docs/PERF.md) while remaining real for any memory-bound target.
 // Wall-clock speedups are reported alongside, honestly, as measured.
-// Results land in BENCH_ntt.json; benchdiff gates the fused ns/op
-// trajectory against the committed baseline.
+// Results land in BENCH_ntt.json; benchdiff holds the replayed bytes and
+// allocation counts to ±1% (deterministic records) and the ns/op
+// trajectory loosely (wall-clock records).
 
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"testing"
 
+	"repro/internal/benchdiff"
 	"repro/internal/mathutil"
 	"repro/internal/memtrace"
 	"repro/internal/prng"
 	"repro/internal/ring"
 )
-
-// nttKernelResult is one transform size, fused vs reference wall clock.
-type nttKernelResult struct {
-	Name        string  `json:"name"`
-	N           int     `json:"n"`
-	Passes      int     `json:"passes"`
-	NsFused     int64   `json:"ns_fused"`
-	NsReference int64   `json:"ns_reference"`
-	WallSpeedup float64 `json:"wall_speedup"`
-	AllocsFused int64   `json:"allocs_per_op_fused"`
-}
-
-// nttTrafficResult is one cache-replay comparison: the reference
-// schedule's DRAM bytes vs the blocked kernel's, at the same simulated
-// capacity. TrafficSpeedup = BytesReference / BytesBlocked.
-type nttTrafficResult struct {
-	Name           string  `json:"name"`
-	N              int     `json:"n"`
-	Passes         int     `json:"passes"`
-	CacheBytes     uint64  `json:"cache_bytes"`
-	BytesReference uint64  `json:"bytes_reference"`
-	BytesBlocked   uint64  `json:"bytes_blocked"`
-	TrafficSpeedup float64 `json:"traffic_speedup"`
-}
-
-type nttBenchReport struct {
-	Meta       runMeta            `json:"meta"`
-	GoMaxProcs int                `json:"gomaxprocs"`
-	NumCPU     int                `json:"num_cpu"`
-	LogN       int                `json:"logN"`
-	Tile       int                `json:"ntt_tile"`
-	Note       string             `json:"note"`
-	Kernels    []nttKernelResult  `json:"kernels"`
-	Traffic    []nttTrafficResult `json:"traffic"`
-}
 
 // nttTrafficGate is the acceptance bar on the measured traffic ratio at
 // the blocked (bootstrap-scale) size.
@@ -112,7 +78,7 @@ func referenceNTTSchedule(tr *memtrace.Tracer, p []uint64) {
 	tr.Write(p)
 }
 
-func benchNTTSuite(outPath string) {
+func benchNTTSuite() (*benchdiff.Bench, error) {
 	const logN = 13
 	sizes := []int{ring.NTTTile, 4 * ring.NTTTile} // single-phase and blocked
 	// Replay capacity: a 32 KiB scratchpad slice — twice a 16 KiB tile,
@@ -127,18 +93,13 @@ func benchNTTSuite(outPath string) {
 	copy(seed[:], "simfhe bench deterministic seed")
 	src := prng.NewSource(seed)
 
-	report := nttBenchReport{
-		Meta:       collectMeta(fmt.Sprintf("suite=ntt logN=%d tile=%d", logN, ring.NTTTile)),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		LogN:       logN,
-		Tile:       ring.NTTTile,
-		Note: "fused = cache-blocked fused-butterfly kernel; reference = retained " +
-			"oracle (bit-identical outputs, enforced by tests). traffic_speedup is " +
-			"measured DRAM bytes via memtrace cache replay at cache_bytes capacity — " +
-			"the gated metric; wall_speedup is host wall clock, compute-bound when " +
-			"the host cache holds the working set (see docs/PERF.md)",
-	}
+	report := benchdiff.New(fmt.Sprintf("suite=ntt logN=%d tile=%d cache_bytes=%d", logN, ring.NTTTile, geo.CapacityBytes),
+		"fused = cache-blocked fused-butterfly kernel; reference = retained "+
+			"oracle (bit-identical outputs, enforced by tests). traffic_speedup is "+
+			"measured DRAM bytes via memtrace cache replay at cache_bytes capacity — "+
+			"the gated metric; wall_speedup is host wall clock, compute-bound when "+
+			"the host cache holds the working set (see docs/PERF.md)")
+	var gateErr error
 
 	for _, n := range sizes {
 		r := nttBenchRing(n)
@@ -167,18 +128,19 @@ func benchNTTSuite(outPath string) {
 					}
 				}
 			})
-			res := nttKernelResult{
-				Name:        fmt.Sprintf("%s_n%d", dir, n),
-				N:           n,
-				Passes:      passes,
-				NsFused:     fused.NsPerOp(),
-				NsReference: ref.NsPerOp(),
-				WallSpeedup: float64(ref.NsPerOp()) / float64(fused.NsPerOp()),
-				AllocsFused: fused.AllocsPerOp(),
-			}
-			report.Kernels = append(report.Kernels, res)
+			name := fmt.Sprintf("%s_n%d", dir, n)
+			prefix := "ntt/" + name + "/"
+			wall := float64(ref.NsPerOp()) / float64(fused.NsPerOp())
+			report.Add(prefix+"fused_ns", "ns", float64(fused.NsPerOp()), benchdiff.Lower, benchdiff.Wallclock)
+			report.Add(prefix+"reference_ns", "ns", float64(ref.NsPerOp()), benchdiff.Lower, benchdiff.Wallclock)
+			report.Add(prefix+"wall_speedup", "x", wall, benchdiff.Higher, benchdiff.Wallclock)
+			report.Add(prefix+"fused_allocs_per_op", "allocs", float64(fused.AllocsPerOp()), benchdiff.Lower, benchdiff.Deterministic)
 			fmt.Fprintf(os.Stderr, "bench: %s fused=%d ns/op reference=%d ns/op (%.2fx wall, %d allocs/op)\n",
-				res.Name, res.NsFused, res.NsReference, res.WallSpeedup, res.AllocsFused)
+				name, fused.NsPerOp(), ref.NsPerOp(), wall, fused.AllocsPerOp())
+			// The fused kernels must be allocation-free.
+			if a := fused.AllocsPerOp(); a != 0 && gateErr == nil {
+				gateErr = fmt.Errorf("%s allocates %d objects/op, want 0", name, a)
+			}
 		}
 
 		// Traffic replay: trace the fused kernel's real access stream and
@@ -197,37 +159,20 @@ func benchNTTSuite(outPath string) {
 
 			blocked := memtrace.Measure(blockedTr.Events(), geo, nil).Total()
 			refBytes := memtrace.Measure(refTr.Events(), geo, nil).Total()
-			res := nttTrafficResult{
-				Name:           fmt.Sprintf("%s_traffic_n%d", dir, n),
-				N:              n,
-				Passes:         passes,
-				CacheBytes:     geo.CapacityBytes,
-				BytesReference: refBytes,
-				BytesBlocked:   blocked,
-				TrafficSpeedup: float64(refBytes) / float64(blocked),
-			}
-			report.Traffic = append(report.Traffic, res)
+			name := fmt.Sprintf("%s_traffic_n%d", dir, n)
+			prefix := "ntt/" + name + "/"
+			speedup := float64(refBytes) / float64(blocked)
+			report.Add(prefix+"reference_bytes", "bytes", float64(refBytes), benchdiff.Lower, benchdiff.Deterministic)
+			report.Add(prefix+"blocked_bytes", "bytes", float64(blocked), benchdiff.Lower, benchdiff.Deterministic)
+			report.Add(prefix+"traffic_speedup", "x", speedup, benchdiff.Higher, benchdiff.Deterministic)
 			fmt.Fprintf(os.Stderr, "bench: %s reference=%d B blocked=%d B (%.2fx traffic)\n",
-				res.Name, res.BytesReference, res.BytesBlocked, res.TrafficSpeedup)
+				name, refBytes, blocked, speedup)
+			// Acceptance gate: at the blocked (two-pass) size the blocked
+			// schedule must move ≥ 1.5× fewer bytes than the reference.
+			if passes > 1 && speedup < nttTrafficGate && gateErr == nil {
+				gateErr = fmt.Errorf("%s traffic speedup %.2fx below the %.1fx gate", name, speedup, nttTrafficGate)
+			}
 		}
 	}
-
-	writeBenchJSON(report, outPath)
-
-	// Acceptance gate: the blocked schedule must move ≥ 1.5× fewer bytes
-	// than the reference schedule at the blocked (two-pass) size, and the
-	// fused kernels must be allocation-free.
-	for _, tr := range report.Traffic {
-		if tr.Passes > 1 && tr.TrafficSpeedup < nttTrafficGate {
-			fmt.Fprintf(os.Stderr, "bench: FAIL — %s traffic speedup %.2fx below the %.1fx gate\n",
-				tr.Name, tr.TrafficSpeedup, nttTrafficGate)
-			os.Exit(1)
-		}
-	}
-	for _, k := range report.Kernels {
-		if k.AllocsFused != 0 {
-			fmt.Fprintf(os.Stderr, "bench: FAIL — %s allocates %d objects/op, want 0\n", k.Name, k.AllocsFused)
-			os.Exit(1)
-		}
-	}
+	return report, gateErr
 }

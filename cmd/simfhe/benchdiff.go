@@ -4,66 +4,58 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"repro/internal/benchdiff"
 )
 
 // benchdiffCmd is the perf-trajectory gate: it compares a fresh bench
-// report against a committed baseline and exits nonzero when any metric
-// slowed past the threshold. CI runs it after the bench suites so kernel
-// regressions fail the build the same way broken tests do.
+// report against a committed baseline and exits nonzero when any
+// deterministic record moved past ±1% or any wall-clock record slowed
+// past the threshold. CI runs it after the bench suites so regressions
+// fail the build the same way broken tests do.
 func benchdiffCmd(args []string) {
 	fs := flag.NewFlagSet("benchdiff", flag.ExitOnError)
 	baseline := fs.String("baseline", "BENCH_extend.json", "committed baseline report (JSON)")
-	current := fs.String("current", "", "fresh report to compare (JSON); empty measures the extend suite now")
-	suite := fs.String("suite", "extend", "suite to measure when -current is empty: extend or ntt (parallel must be pre-measured)")
-	threshold := fs.Float64("threshold", 0.25, "max allowed slowdown fraction (0.25 = +25%)")
+	current := fs.String("current", "", "fresh report to compare (JSON); empty measures -suite now")
+	suite := fs.String("suite", "extend", "suite to measure when -current is empty: "+benchSuiteNames())
+	threshold := fs.Float64("threshold", 0.25, "max allowed wall-clock slowdown fraction (0.25 = +25%); deterministic records always gate at ±1%")
 	fs.Parse(args)
 
-	curPath := *current
-	if curPath == "" {
-		var measure func(string)
-		switch *suite {
-		case "extend":
-			measure = benchExtendSuite
-		case "ntt":
-			measure = benchNTTSuite
-		default:
-			fmt.Fprintln(os.Stderr, "benchdiff: only the extend and ntt suites can be measured in-process; "+
-				"run `simfhe bench -suite parallel -out FILE` first and pass -current FILE")
-			os.Exit(2)
-		}
-		tmp, err := os.MkdirTemp("", "benchdiff")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchdiff:", err)
-			os.Exit(1)
-		}
-		defer os.RemoveAll(tmp)
-		curPath = filepath.Join(tmp, "current.json")
-		fmt.Fprintf(os.Stderr, "benchdiff: measuring fresh %s suite ...\n", *suite)
-		measure(curPath)
+	fail := func(err error) {
+		fmt.Fprintln(os.Stderr, "benchdiff:", err)
+		os.Exit(1)
 	}
-
 	base, err := benchdiff.FlattenFile(*baseline)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(1)
+		fail(err)
 	}
-	cur, err := benchdiff.FlattenFile(curPath)
+	var cur map[string]benchdiff.Record
+	if *current != "" {
+		cur, err = benchdiff.FlattenFile(*current)
+	} else {
+		run, ok := benchSuites[*suite]
+		if !ok {
+			fmt.Fprintf(os.Stderr, "benchdiff: unknown suite %q (want %s)\n", *suite, benchSuiteNames())
+			os.Exit(2)
+		}
+		workers, _ := parseWorkerList("") // the default list cannot fail to parse
+		fmt.Fprintf(os.Stderr, "benchdiff: measuring fresh %s suite ...\n", *suite)
+		report, gateErr := run(workers)
+		if gateErr != nil {
+			fail(fmt.Errorf("%s suite gate: %w", *suite, gateErr))
+		}
+		cur, err = report.Metrics()
+	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(1)
+		fail(err)
 	}
 
 	rep := benchdiff.Compare(base, cur, *threshold)
 	if err := rep.Render(os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(1)
+		fail(err)
 	}
 	if !rep.OK() {
-		fmt.Fprintf(os.Stderr, "benchdiff: FAIL — %d metric(s) regressed past +%.0f%% (or no comparable/new metrics at all)\n",
-			rep.Regressed, *threshold*100)
+		fmt.Fprintf(os.Stderr, "benchdiff: FAIL — %d metric(s) failed their gate (or no comparable/new metrics at all)\n", rep.Failed)
 		os.Exit(1)
 	}
 	fmt.Fprintln(os.Stderr, "benchdiff: ok")

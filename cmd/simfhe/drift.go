@@ -5,12 +5,13 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/benchdiff"
 	"repro/internal/calib"
 )
 
 // driftReportJSON is the machine-readable form of `simfhe drift`.
 type driftReportJSON struct {
-	Meta   runMeta            `json:"meta"`
+	Meta   benchdiff.Meta     `json:"meta"`
 	Pass   bool               `json:"pass"`
 	Report *calib.DriftReport `json:"report"`
 }
@@ -48,7 +49,7 @@ func driftCmd(args []string) {
 	}
 	pass := rep.Gate()
 	payload := driftReportJSON{
-		Meta: collectMeta(fmt.Sprintf("logN=%d cacheLimbs=%d multProbes=%d", cfg.LogN, cfg.CacheLimbs, cfg.MultProbes)),
+		Meta: benchdiff.CollectMeta(fmt.Sprintf("logN=%d cacheLimbs=%d multProbes=%d", cfg.LogN, cfg.CacheLimbs, cfg.MultProbes)),
 		Pass: pass, Report: rep,
 	}
 	if *jsonOnly {

@@ -11,13 +11,14 @@
 //	                         one bootstrap, phase by phase
 //	simfhe cost              §4.4 performance vs area/cost trade-off
 //	simfhe sweep [-axis=fftiter] sensitivity sweep around the optimal point
-//	simfhe bench [-workers=1,2,4] [-out=BENCH_parallel.json]
-//	                         measure the functional library across evaluator
-//	                         worker counts, writing machine-readable JSON
-//	simfhe benchdiff [-baseline=BENCH_extend.json] [-current=FILE] [-threshold=0.25]
+//	simfhe bench [-suite=parallel|extend|ntt|keys] [-workers=1,2,4] [-out=FILE]
+//	                         measure the functional library, writing a
+//	                         bench/v2 record list (default BENCH_<suite>.json)
+//	simfhe benchdiff [-baseline=BENCH_extend.json] [-current=FILE] [-suite=extend] [-threshold=0.25]
 //	                         compare a fresh bench report against a committed
-//	                         baseline; exit nonzero past the regression
-//	                         threshold (the CI perf-trajectory gate)
+//	                         baseline; exit nonzero when a deterministic record
+//	                         moves past ±1% or a wall-clock record slows past
+//	                         the threshold (the CI perf-trajectory gate)
 //	simfhe validate [-strict] [-out=FILE] [-cache-limbs=6]
 //	                         trace the functional evaluator through the cache
 //	                         simulator and compare measured DRAM traffic
@@ -177,8 +178,8 @@ func run(cmd string, args []string) {
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: simfhe [-debug-addr ADDR] {table4|fig2|fig3|table5|table6|fig6|boot|cost|run|trace|sweep|bench|benchdiff|validate|drift|ai|json|all} [flags]")
 	fmt.Fprintln(os.Stderr, "  run/boot/trace accept -trace-out FILE (Chrome trace JSON) and -metrics-out FILE (Prometheus text)")
-	fmt.Fprintln(os.Stderr, "  bench [-workers 1,2,4] [-out FILE] measures the functional library across worker counts (JSON)")
-	fmt.Fprintln(os.Stderr, "  benchdiff [-baseline FILE] [-current FILE] [-threshold 0.25] gates fresh bench results against a committed baseline")
+	fmt.Fprintln(os.Stderr, "  bench [-suite parallel|extend|ntt|keys] [-workers 1,2,4] [-out FILE] measures the functional library (bench/v2 JSON)")
+	fmt.Fprintln(os.Stderr, "  benchdiff [-baseline FILE] [-current FILE] [-suite NAME] [-threshold 0.25] gates fresh bench results against a committed baseline")
 	fmt.Fprintln(os.Stderr, "  validate [-strict] [-out FILE] traces the functional evaluator through the cache simulator and compares measured vs modeled DRAM traffic")
 	fmt.Fprintln(os.Stderr, "  drift [-strict] [-json] [-out FILE] runs a bootstrap workload with the cost ledger attached and reports per-op-kind predicted vs measured traffic")
 }

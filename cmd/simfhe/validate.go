@@ -5,15 +5,16 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/benchdiff"
 	"repro/internal/calib"
 	"repro/internal/obs"
 )
 
 // validateReport is the machine-readable form of `simfhe validate`.
 type validateReport struct {
-	Meta   runMeta       `json:"meta"`
-	Pass   bool          `json:"pass"`
-	Report *calib.Report `json:"report"`
+	Meta   benchdiff.Meta `json:"meta"`
+	Pass   bool           `json:"pass"`
+	Report *calib.Report  `json:"report"`
 }
 
 // validateCmd runs the functional evaluator side-by-side with the
@@ -61,7 +62,7 @@ func validateCmd(args []string) {
 
 	if *out != "" {
 		writeBenchJSON(validateReport{
-			Meta: collectMeta(fmt.Sprintf("logN=%d limbs=%d dnum=%d cacheLimbs=%d", cfg.LogN, cfg.Limbs, cfg.Dnum, cfg.CacheLimbs)),
+			Meta: benchdiff.CollectMeta(fmt.Sprintf("logN=%d limbs=%d dnum=%d cacheLimbs=%d", cfg.LogN, cfg.Limbs, cfg.Dnum, cfg.CacheLimbs)),
 			Pass: pass, Report: rep,
 		}, *out)
 	}

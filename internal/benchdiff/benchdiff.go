@@ -1,174 +1,184 @@
-// Package benchdiff is the perf-trajectory harness: it flattens the
-// repository's committed benchmark reports (BENCH_extend.json,
-// BENCH_parallel.json, BENCH_ntt.json) and a freshly measured report
-// into comparable metric maps, computes per-kernel deltas, and renders a
-// verdict table. CI runs it after the bench suites: a fresh measurement
-// that regresses past the threshold fails the build, so the performance
-// trajectory of the memory-aware kernels is gated the same way
-// correctness is.
+// Package benchdiff defines the one report format every benchmark suite
+// in the repository writes (simfhe bench -suite parallel|extend|ntt|keys
+// and fhed -load), and the perf-trajectory gate that compares a fresh
+// report against a committed baseline (the BENCH_*.json files).
 //
-// The package is deliberately schema-tolerant: it decodes only the
-// fields it compares and ignores everything else (older baselines
-// without newer metadata parse fine), and metrics present on only one
-// side are informational, never a gate failure — a metric that exists
-// only in the fresh run ("new", e.g. the first build that measures a
-// just-added suite) and a metric that exists only in the baseline
-// ("gone") are both reported and counted but cannot regress. Only the
-// combination of zero comparable metrics AND zero new metrics fails:
-// that means the comparison was vacuous, not informational.
+// A report is a list of records plus one shared run meta. Each record
+// says which direction is better and whether its value is deterministic
+// (a byte count, an op count, an allocation count: it repeats exactly
+// run to run on one host) or wall clock (it does not). The gate holds
+// deterministic records to ±DeterministicTolerance in either direction —
+// a changed count means the code changed what it does, so the baseline
+// must be refreshed on purpose — and lets wall-clock records worsen by
+// up to a caller-chosen threshold, because shared hosts are noisy.
+//
+// Records present on only one side are informational, never a gate
+// failure: a record only in the fresh run ("new", e.g. the first build
+// that measures a just-added metric) and one only in the baseline
+// ("gone") are counted and listed but cannot fail. Only the combination
+// of zero comparable records AND zero new records fails: that means the
+// comparison was vacuous, not informational.
 package benchdiff
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"os/exec"
+	"runtime"
 	"sort"
+	"strings"
 )
 
-// extendReport mirrors the simfhe bench extend JSON (subset).
-type extendReport struct {
-	Kernels []struct {
-		Name   string  `json:"name"`
-		NsLazy float64 `json:"ns_lazy"`
-	} `json:"kernels"`
-	Pipelines []struct {
-		Name    string  `json:"name"`
-		NsPerOp float64 `json:"ns_per_op"`
-	} `json:"pipelines"`
-	TableKeyNs float64 `json:"table_key_ns"`
+// Schema identifies the report format.
+const Schema = "bench/v2"
+
+// DeterministicTolerance is the fractional change a deterministic record
+// may show, in either direction, before the gate fails.
+const DeterministicTolerance = 0.01
+
+// Better says which direction of a record's value is an improvement.
+type Better string
+
+const (
+	Lower  Better = "lower"
+	Higher Better = "higher"
+)
+
+// Kind says how a record's value behaves across runs on one host.
+type Kind string
+
+const (
+	// Deterministic values repeat exactly on back-to-back runs.
+	Deterministic Kind = "deterministic"
+	// Wallclock values carry host noise.
+	Wallclock Kind = "wallclock"
+)
+
+// Record is one measured value.
+type Record struct {
+	Metric string  `json:"metric"`
+	Unit   string  `json:"unit"`
+	Value  float64 `json:"value"`
+	Better Better  `json:"better"`
+	Kind   Kind    `json:"kind"`
 }
 
-// nttReport mirrors the simfhe bench ntt JSON (subset). It shares the
-// top-level "kernels" key with the extend schema but its entries carry
-// ns_fused rather than ns_lazy, so each decode picks up only its own
-// suite's entries.
-type nttReport struct {
-	Kernels []struct {
-		Name    string  `json:"name"`
-		NsFused float64 `json:"ns_fused"`
-	} `json:"kernels"`
+// Meta is the provenance every report carries: which code produced the
+// numbers, on what CPU, with how much parallelism. Every field is
+// best-effort — a missing git binary or a non-Linux /proc leaves the
+// field empty rather than failing the run.
+type Meta struct {
+	GitSHA     string `json:"git_sha,omitempty"`
+	GoVersion  string `json:"go_version,omitempty"`
+	GOOS       string `json:"goos,omitempty"`
+	GOARCH     string `json:"goarch,omitempty"`
+	GoMaxProcs int    `json:"gomaxprocs,omitempty"`
+	NumCPU     int    `json:"num_cpu,omitempty"`
+	CPUModel   string `json:"cpu_model,omitempty"`
+	Params     string `json:"params,omitempty"`
 }
 
-// keysReport mirrors the simfhe bench keys JSON (subset): one ns/op
-// measurement per key-vault budget point.
-type keysReport struct {
-	Points []struct {
-		Name    string  `json:"name"`
-		NsPerOp float64 `json:"ns_per_op"`
-	} `json:"points"`
+// CollectMeta gathers the runtime environment; params describes the
+// workload configuration of the run (free-form, report-specific).
+func CollectMeta(params string) Meta {
+	return Meta{
+		GitSHA:     gitSHA(),
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		GoMaxProcs: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		CPUModel:   cpuModel(),
+		Params:     params,
+	}
 }
 
-// fhedReport mirrors the fhed load-generator JSON (subset): per-op
-// latency percentiles plus the sustained-throughput roll-up.
-type fhedReport struct {
-	Ops []struct {
-		Name  string  `json:"name"`
-		P50Us float64 `json:"p50_us"`
-		P95Us float64 `json:"p95_us"`
-	} `json:"ops"`
-	MaxSustainedRPS float64 `json:"max_sustained_rps"`
+// gitSHA returns the short commit hash of the working tree, or "" when
+// git (or a repository) is unavailable.
+func gitSHA() string {
+	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
+	if err != nil {
+		return ""
+	}
+	return strings.TrimSpace(string(out))
 }
 
-// parallelReport mirrors the simfhe bench parallel JSON (subset).
-type parallelReport struct {
-	Workloads []struct {
-		Name    string `json:"name"`
-		Results []struct {
-			Workers int     `json:"workers"`
-			NsPerOp float64 `json:"ns_per_op"`
-		} `json:"results"`
-	} `json:"workloads"`
+// cpuModel reads the first "model name" line of /proc/cpuinfo (Linux);
+// other platforms report "".
+func cpuModel() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return ""
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if name, ok := strings.CutPrefix(line, "model name"); ok {
+			return strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(name), ":"))
+		}
+	}
+	return ""
 }
 
-// Flatten decodes a bench report of either suite into a flat
-// metric-name → nanoseconds map. Metric names are stable across runs:
-//
-//	kernel/<name>         extend suite, lazy kernel ns/op
-//	pipeline/<name>       extend suite, pipeline ns/op
-//	table_key             extend suite, table cache hit-path ns
-//	workload/<name>/w<N>  parallel suite, ns/op at N workers
-//	ntt/<name>            ntt suite, fused kernel ns/op
-//	keys/<name>           keys suite, ns/op at one vault budget point
-//	fhed/<op>/p50|p95     fhed load run, end-to-end op latency in ns
-//	fhed/sustained        fhed load run, ns per request at peak RPS
-//	                      (inverse of max_sustained_rps, so "bigger is
-//	                      worse" holds for every metric in the map)
-//
-// A report that matches neither schema (no kernels, pipelines or
-// workloads) is an error — comparing empty maps would vacuously pass.
-func Flatten(data []byte) (map[string]float64, error) {
-	out := make(map[string]float64)
+// Bench is one suite's report: the on-disk BENCH_*.json format.
+type Bench struct {
+	Schema  string   `json:"schema"`
+	Meta    Meta     `json:"meta"`
+	Note    string   `json:"note,omitempty"`
+	Records []Record `json:"records"`
+}
 
-	var ext extendReport
-	if err := json.Unmarshal(data, &ext); err == nil {
-		for _, k := range ext.Kernels {
-			if k.NsLazy > 0 {
-				out["kernel/"+k.Name] = k.NsLazy
-			}
-		}
-		for _, p := range ext.Pipelines {
-			if p.NsPerOp > 0 {
-				out["pipeline/"+p.Name] = p.NsPerOp
-			}
-		}
-		if ext.TableKeyNs > 0 {
-			out["table_key"] = ext.TableKeyNs
-		}
+// New starts a report stamped with the current run's meta.
+func New(params, note string) *Bench {
+	return &Bench{Schema: Schema, Meta: CollectMeta(params), Note: note}
+}
+
+// Add appends one record.
+func (b *Bench) Add(metric, unit string, value float64, better Better, kind Kind) {
+	b.Records = append(b.Records, Record{Metric: metric, Unit: unit, Value: value, Better: better, Kind: kind})
+}
+
+// Metrics validates the report and indexes its records by metric name.
+// A report with no records is an error: comparing it would vacuously pass.
+func (b *Bench) Metrics() (map[string]Record, error) {
+	if b.Schema != Schema {
+		return nil, fmt.Errorf("benchdiff: schema %q, want %q", b.Schema, Schema)
 	}
-
-	var ntt nttReport
-	if err := json.Unmarshal(data, &ntt); err == nil {
-		for _, k := range ntt.Kernels {
-			if k.NsFused > 0 {
-				out["ntt/"+k.Name] = k.NsFused
-			}
-		}
+	if len(b.Records) == 0 {
+		return nil, fmt.Errorf("benchdiff: report has no records")
 	}
-
-	var keys keysReport
-	if err := json.Unmarshal(data, &keys); err == nil {
-		for _, p := range keys.Points {
-			if p.NsPerOp > 0 {
-				out["keys/"+p.Name] = p.NsPerOp
-			}
+	out := make(map[string]Record, len(b.Records))
+	for _, r := range b.Records {
+		switch {
+		case r.Metric == "":
+			return nil, fmt.Errorf("benchdiff: record without a metric name")
+		case r.Better != Lower && r.Better != Higher:
+			return nil, fmt.Errorf("benchdiff: %s: better %q, want %q or %q", r.Metric, r.Better, Lower, Higher)
+		case r.Kind != Deterministic && r.Kind != Wallclock:
+			return nil, fmt.Errorf("benchdiff: %s: kind %q, want %q or %q", r.Metric, r.Kind, Deterministic, Wallclock)
+		case math.IsNaN(r.Value) || math.IsInf(r.Value, 0):
+			return nil, fmt.Errorf("benchdiff: %s: non-finite value", r.Metric)
 		}
-	}
-
-	var fhed fhedReport
-	if err := json.Unmarshal(data, &fhed); err == nil {
-		for _, op := range fhed.Ops {
-			if op.P50Us > 0 {
-				out["fhed/"+op.Name+"/p50"] = op.P50Us * 1e3
-			}
-			if op.P95Us > 0 {
-				out["fhed/"+op.Name+"/p95"] = op.P95Us * 1e3
-			}
+		if _, dup := out[r.Metric]; dup {
+			return nil, fmt.Errorf("benchdiff: duplicate metric %s", r.Metric)
 		}
-		if fhed.MaxSustainedRPS > 0 {
-			out["fhed/sustained"] = 1e9 / fhed.MaxSustainedRPS
-		}
-	}
-
-	var par parallelReport
-	if err := json.Unmarshal(data, &par); err == nil {
-		for _, w := range par.Workloads {
-			for _, r := range w.Results {
-				if r.NsPerOp > 0 {
-					out[fmt.Sprintf("workload/%s/w%d", w.Name, r.Workers)] = r.NsPerOp
-				}
-			}
-		}
-	}
-
-	if len(out) == 0 {
-		return nil, fmt.Errorf("benchdiff: report contains no recognizable metrics (want kernels/pipelines/workloads)")
+		out[r.Metric] = r
 	}
 	return out, nil
 }
 
+// Flatten decodes a report and indexes its records by metric name.
+func Flatten(data []byte) (map[string]Record, error) {
+	var b Bench
+	if err := json.Unmarshal(data, &b); err != nil {
+		return nil, fmt.Errorf("benchdiff: %w", err)
+	}
+	return b.Metrics()
+}
+
 // FlattenFile reads and flattens a report from disk.
-func FlattenFile(path string) (map[string]float64, error) {
+func FlattenFile(path string) (map[string]Record, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("benchdiff: %w", err)
@@ -183,56 +193,67 @@ func FlattenFile(path string) (map[string]float64, error) {
 // Delta is the comparison result for one metric.
 type Delta struct {
 	Name    string
-	Base    float64 // baseline ns (0 when metric is new)
-	Current float64 // fresh ns (0 when metric vanished)
-	Ratio   float64 // Current/Base; 0 when not comparable
-	// Regressed is set when the metric slowed past the threshold. Only
-	// metrics present on both sides can regress.
-	Regressed bool
+	Unit    string
+	Kind    Kind
+	Base    float64 // baseline value (0 when the metric is new)
+	Current float64 // fresh value (0 when the metric is gone)
+	// Verdict is "ok", "FAIL" (worse past its gate), "DRIFT" (a
+	// deterministic record improved past the tolerance: the baseline is
+	// stale), "better" (a wall-clock record improved past the
+	// threshold), "new" or "gone". FAIL and DRIFT fail the gate.
+	Verdict string
 }
 
+// Failed reports whether the delta fails the gate.
+func (d Delta) Failed() bool { return d.Verdict == "FAIL" || d.Verdict == "DRIFT" }
+
 // Report is a full comparison: every metric from either side, sorted by
-// name, plus the regression roll-up.
+// name, plus the roll-up.
 type Report struct {
-	Threshold float64 // max allowed slowdown fraction, e.g. 0.25 = +25%
+	Threshold float64 // wall-clock slowdown allowed, e.g. 0.25 = 25% worse
 	Deltas    []Delta
-	Regressed int // count of regressed metrics
-	Compared  int // count of metrics present on both sides
+	Failed    int // metrics that failed their gate
+	Compared  int // metrics present on both sides
 	New       int // metrics only in the fresh run (informational)
 	Gone      int // metrics only in the baseline (informational)
 }
 
-// Compare diffs a fresh measurement against a baseline. threshold is the
-// allowed fractional slowdown: a metric regresses when
-// current > base·(1+threshold). Metrics on only one side are listed with
-// Ratio 0, counted as New or Gone, and never gate.
-func Compare(base, current map[string]float64, threshold float64) Report {
+// Compare diffs a fresh measurement against a baseline. The baseline's
+// record decides unit, direction and kind. A deterministic record fails
+// when it moves more than DeterministicTolerance either way; a wall-clock
+// record fails when it is worse than the baseline by more than a factor
+// 1+threshold (current > base·(1+threshold) for lower-is-better,
+// current·(1+threshold) < base for higher-is-better). Metrics on only
+// one side are listed, counted as New or Gone, and never gate.
+func Compare(base, current map[string]Record, threshold float64) Report {
 	rep := Report{Threshold: threshold}
-	names := make(map[string]bool, len(base)+len(current))
+	names := make([]string, 0, len(base)+len(current))
 	for k := range base {
-		names[k] = true
+		names = append(names, k)
 	}
 	for k := range current {
-		names[k] = true
+		if _, ok := base[k]; !ok {
+			names = append(names, k)
+		}
 	}
-	keys := make([]string, 0, len(names))
-	for k := range names {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		d := Delta{Name: k, Base: base[k], Current: current[k]}
+	sort.Strings(names)
+	for _, k := range names {
+		b, inBase := base[k]
+		c, inCur := current[k]
+		d := Delta{Name: k, Base: b.Value, Current: c.Value}
 		switch {
-		case d.Base > 0 && d.Current > 0:
-			d.Ratio = d.Current / d.Base
-			d.Regressed = d.Ratio > 1+threshold
+		case inBase && inCur:
+			d.Unit, d.Kind = b.Unit, b.Kind
+			d.Verdict = verdict(b, c.Value, threshold)
 			rep.Compared++
-			if d.Regressed {
-				rep.Regressed++
+			if d.Failed() {
+				rep.Failed++
 			}
-		case d.Current > 0:
+		case inCur:
+			d.Unit, d.Kind, d.Verdict = c.Unit, c.Kind, "new"
 			rep.New++
 		default:
+			d.Unit, d.Kind, d.Verdict = b.Unit, b.Kind, "gone"
 			rep.Gone++
 		}
 		rep.Deltas = append(rep.Deltas, d)
@@ -240,43 +261,60 @@ func Compare(base, current map[string]float64, threshold float64) Report {
 	return rep
 }
 
-// OK reports whether the comparison passes the gate: no metric
-// regressed, and the run was not vacuous. A fresh run whose metrics are
-// all new (the first build that measures a just-added suite against an
-// older baseline) passes — one-sided metrics are informational — but a
-// run that produced neither comparable nor new metrics fails: an empty
-// or wrong report must not slip through as a pass.
-func (r Report) OK() bool { return r.Regressed == 0 && (r.Compared > 0 || r.New > 0) }
+// verdict judges one fresh value against its baseline record.
+func verdict(base Record, cur, threshold float64) string {
+	// Orient the pair so that hi > lo means the fresh value is worse.
+	lo, hi := base.Value, cur
+	if base.Better == Higher {
+		lo, hi = cur, base.Value
+	}
+	if base.Kind == Deterministic {
+		switch {
+		case math.Abs(cur-base.Value) <= DeterministicTolerance*math.Abs(base.Value):
+			return "ok"
+		case hi > lo:
+			return "FAIL"
+		default:
+			return "DRIFT"
+		}
+	}
+	switch {
+	case hi > lo*(1+threshold):
+		return "FAIL"
+	case lo > hi*(1+threshold):
+		return "better"
+	default:
+		return "ok"
+	}
+}
 
-// Render writes the human-readable delta table. Regressions are flagged
-// with FAIL, improvements beyond the threshold with "faster" (they never
-// gate — a faster run should prompt a baseline refresh, not a failure),
-// one-sided metrics with "new"/"gone".
+// OK reports whether the comparison passes the gate: no metric failed,
+// and the run was not vacuous. A fresh run whose metrics are all new
+// (the first build that measures a just-added suite against an older
+// baseline) passes — one-sided metrics are informational — but a run
+// that produced neither comparable nor new metrics fails: an empty or
+// wrong report must not slip through as a pass.
+func (r Report) OK() bool { return r.Failed == 0 && (r.Compared > 0 || r.New > 0) }
+
+// Render writes the human-readable delta table.
 func (r Report) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "%-40s %14s %14s %8s  %s\n", "metric", "base ns", "current ns", "ratio", "verdict"); err != nil {
+	width := len("metric")
+	for _, d := range r.Deltas {
+		width = max(width, len(d.Name)+len(d.Unit)+3)
+	}
+	if _, err := fmt.Fprintf(w, "%-*s %-13s %14s %14s %8s  %s\n", width, "metric", "kind", "base", "current", "ratio", "verdict"); err != nil {
 		return err
 	}
 	for _, d := range r.Deltas {
-		verdict := "ok"
-		switch {
-		case d.Base == 0:
-			verdict = "new"
-		case d.Current == 0:
-			verdict = "gone"
-		case d.Regressed:
-			verdict = "FAIL"
-		case d.Ratio < 1/(1+r.Threshold):
-			verdict = "faster"
-		}
 		ratio := "-"
-		if d.Ratio > 0 {
-			ratio = fmt.Sprintf("%.3f", d.Ratio)
+		if d.Base != 0 && d.Verdict != "new" && d.Verdict != "gone" {
+			ratio = fmt.Sprintf("%.3f", d.Current/d.Base)
 		}
-		if _, err := fmt.Fprintf(w, "%-40s %14.0f %14.0f %8s  %s\n", d.Name, d.Base, d.Current, ratio, verdict); err != nil {
+		if _, err := fmt.Fprintf(w, "%-*s %-13s %14.10g %14.10g %8s  %s\n", width, d.Name+" ("+d.Unit+")", d.Kind, d.Base, d.Current, ratio, d.Verdict); err != nil {
 			return err
 		}
 	}
-	_, err := fmt.Fprintf(w, "compared %d metrics, %d regressed, %d new, %d gone (threshold +%.0f%%)\n",
-		r.Compared, r.Regressed, r.New, r.Gone, r.Threshold*100)
+	_, err := fmt.Fprintf(w, "compared %d metrics, %d failed, %d new, %d gone (deterministic ±%.0f%%, wallclock +%.0f%%)\n",
+		r.Compared, r.Failed, r.New, r.Gone, DeterministicTolerance*100, r.Threshold*100)
 	return err
 }

@@ -3,6 +3,7 @@ package bootstrap
 import (
 	"fmt"
 	"math/cmplx"
+	"sort"
 
 	"repro/internal/ckks"
 )
@@ -93,7 +94,8 @@ func groupMatrixDiags(enc *ckks.Encoder, n, from, to int, inverse bool, fold com
 	return diags
 }
 
-// rotationSteps returns all rotation indices needed by the DFT's groups.
+// rotationSteps returns all rotation indices needed by the DFT's groups,
+// in ascending order.
 func (d *homomorphicDFT) rotationSteps() []int {
 	seen := map[int]bool{}
 	for _, g := range d.groups {
@@ -109,6 +111,9 @@ func (d *homomorphicDFT) rotationSteps() []int {
 	for s := range seen {
 		steps = append(steps, s)
 	}
+	// Keygen draws each key from one PRNG stream in step order; a sorted
+	// list makes seeded keygen reproducible.
+	sort.Ints(steps)
 	return steps
 }
 

@@ -1,6 +1,7 @@
 package bootstrap
 
 import (
+	"bytes"
 	"errors"
 	"math/rand/v2"
 	"testing"
@@ -44,11 +45,9 @@ func expandAllKeys(params *ckks.Parameters, ev *ckks.Evaluator) int64 {
 // of the fully-resident key bytes must produce a ciphertext bit-identical
 // to the same bootstrap with every key eagerly materialized.
 //
-// Both runs use the SAME bootstrapper: keygen consumes the PRNG stream
-// in map-iteration order over the rotation-step set, so two separately
-// constructed bootstrappers hold different (equally valid) keys. The
-// contract under test is vault-vs-materialized for one fixed key set,
-// which demands one key set.
+// Both runs use the same bootstrapper, so the contract under test is
+// vault-vs-materialized for one fixed key set; that two bootstrappers
+// from one seed hold that same key set is TestSeededKeygenDeterministic.
 func TestBootstrapKeyBudgetBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bootstrap is expensive; skipping in -short mode")
@@ -99,6 +98,43 @@ func TestBootstrapKeyBudgetBitIdentical(t *testing.T) {
 }
 
 func dnumOf(params *ckks.Parameters) int64 { return int64(params.Dnum()) }
+
+// TestSeededKeygenDeterministic pins seeded keygen: two bootstrappers
+// built from one seed must serialize every Galois key to the same bytes.
+// Keygen draws each key's digits from one PRNG stream in step order, so
+// a step list built by map iteration would hand different keys to the
+// same Galois element from run to run.
+func TestSeededKeygenDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("bootstrapper keygen is expensive; skipping in -short mode")
+	}
+	a, _, _ := vaultBootstrapper(t)
+	b, _, _ := vaultBootstrapper(t)
+	ka, kb := a.Evaluator().Keys().Galois, b.Evaluator().Keys().Galois
+	if len(ka) != len(kb) {
+		t.Fatalf("galois key counts differ: %d vs %d", len(ka), len(kb))
+	}
+	var differ int
+	for g, gk := range ka {
+		other, ok := kb[g]
+		if !ok {
+			t.Fatalf("galois element %d missing from the second key set", g)
+		}
+		var wa, wb bytes.Buffer
+		if _, err := gk.WriteTo(&wa); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := other.WriteTo(&wb); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wa.Bytes(), wb.Bytes()) {
+			differ++
+		}
+	}
+	if differ > 0 {
+		t.Fatalf("%d of %d galois keys differ between two same-seed bootstrappers", differ, len(ka))
+	}
+}
 
 // TestBootstrapVaultFaultDetectedByPrecisionGuard closes the chaos loop
 // at the pipeline level: a bit flip injected into a vault-materialized

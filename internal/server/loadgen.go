@@ -108,11 +108,10 @@ type ChaosStats struct {
 	Missed    int `json:"missed"`
 }
 
-// LoadReport is BENCH_fhed.json: the measured service profile. The
-// benchdiff harness flattens Ops into fhed/<op>/p50|p95 metrics for the
-// perf-trajectory gate.
+// LoadReport is the measured service profile. `fhed -load` writes its
+// op percentiles, sustained rate and chaos counts as the bench/v2
+// records of BENCH_fhed.json.
 type LoadReport struct {
-	Schema          string        `json:"schema"`
 	Target          string        `json:"target"`
 	Windows         []WindowStats `json:"windows"`
 	Ops             []OpStats     `json:"ops"`
@@ -172,7 +171,7 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 		return nil, fmt.Errorf("loadgen: decode seed ct: %w", err)
 	}
 
-	rep := &LoadReport{Schema: "fhed-load/v1", Target: cfg.BaseURL}
+	rep := &LoadReport{Target: cfg.BaseURL}
 	for _, conc := range cfg.Ramp {
 		w := lc.window(conc, ctResp.Ct)
 		rep.Windows = append(rep.Windows, w)

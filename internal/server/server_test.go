@@ -338,3 +338,38 @@ func TestRetryAfterEstimate(t *testing.T) {
 		t.Errorf("backlogged retryAfterSec = %d, want clamped 5", got)
 	}
 }
+
+// TestSeededTenantKeysDeterministic pins that a seeded tenant reproduces
+// its keys: two sessions from one config must serialize every Galois key
+// to the same bytes, whatever order the step set iterates in.
+func TestSeededTenantKeysDeterministic(t *testing.T) {
+	cfg := TenantConfig{LogN: 10, Levels: 2, Rots: []int{1, 3, 5, 6, 7, 9, 11, 13}, Seed: "determinism"}
+	a, err := newSession("a", cfg, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := newSession("b", cfg, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ka, kb := a.ev.Keys().Galois, b.ev.Keys().Galois
+	if len(ka) != len(kb) {
+		t.Fatalf("galois key counts differ: %d vs %d", len(ka), len(kb))
+	}
+	for g, gk := range ka {
+		other, ok := kb[g]
+		if !ok {
+			t.Fatalf("galois element %d missing from the second tenant", g)
+		}
+		var wa, wb bytes.Buffer
+		if _, err := gk.WriteTo(&wa); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := other.WriteTo(&wb); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wa.Bytes(), wb.Bytes()) {
+			t.Fatalf("galois element %d: keys differ between two same-seed tenants", g)
+		}
+	}
+}

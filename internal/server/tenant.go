@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/cmplx"
+	"sort"
 	"sync"
 
 	"repro/internal/bootstrap"
@@ -144,6 +145,7 @@ func newSession(id string, cfg TenantConfig, chaos bool, rec *obs.Recorder) (*se
 	for k := range steps {
 		stepList = append(stepList, k)
 	}
+	sort.Ints(stepList) // keygen order decides which PRNG draws each key
 	rlk := kg.GenRelinearizationKey(sk, true)
 	rlk.DropExpanded()
 	gks := kg.GenGaloisKeys(stepList, sk)
