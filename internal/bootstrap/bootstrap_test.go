@@ -1,9 +1,13 @@
 package bootstrap
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"math/cmplx"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 
 	"repro/internal/ckks"
@@ -178,9 +182,10 @@ func TestBootstrapEndToEnd(t *testing.T) {
 	t.Logf("bootstrap: output level %d, max slot error %.3g", out.Level, maxErrC(msg, got))
 }
 
-// TestBootstrapHoistedModDownMatches verifies that running the entire
-// bootstrap with the MAD ModDown-hoisting optimization produces the same
-// refreshed message.
+// TestBootstrapHoistedModDownMatches verifies that the ModDown-hoisted
+// DFT schedule computes the same PtMatVecMult as the textbook per-diagonal
+// loop on a real CoeffToSlot stage, and that the whole bootstrap built on
+// it (with compressed keys) refreshes the message.
 func TestBootstrapHoistedModDownMatches(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bootstrap is expensive; skipping in -short mode")
@@ -191,7 +196,6 @@ func TestBootstrapHoistedModDownMatches(t *testing.T) {
 	sk := kg.GenSecretKeySparse(16)
 
 	bp := DefaultParameters()
-	bp.HoistedModDown = true
 	btp, err := NewBootstrapper(params, bp, sk, src, true) // compressed keys too
 	if err != nil {
 		t.Fatal(err)
@@ -207,9 +211,18 @@ func TestBootstrapHoistedModDownMatches(t *testing.T) {
 		msg[i] = complex(rand.Float64()*2-1, 0)
 	}
 	ct := encryptor.Encrypt(enc.Encode(msg))
-	ct = btp.Evaluator().DropLevel(ct, 0)
 
-	out := btp.Bootstrap(ct)
+	// One CoeffToSlot stage both ways: the hoisted schedule's single
+	// ModDown pair must land on the textbook result up to key-switch noise.
+	ev := btp.Evaluator()
+	lt := btp.cts.groups[0].lt
+	hoisted := enc.Decode(dec.DecryptToPlaintext(ev.Rescale(ev.EvalLinearTransformHoistedModDown(ct, lt))))
+	textbook := enc.Decode(dec.DecryptToPlaintext(ev.Rescale(ev.EvalLinearTransform(ct, lt))))
+	if err := maxErrC(textbook, hoisted); err > 1e-6 {
+		t.Errorf("hoisted CoeffToSlot stage differs from the textbook loop by %.3g", err)
+	}
+
+	out := btp.Bootstrap(ev.DropLevel(ct, 0))
 	got := enc.Decode(dec.DecryptToPlaintext(out))
 	if err := maxErrC(msg, got); err > 5e-4 {
 		t.Errorf("hoisted-ModDown bootstrap error %.3g too large", err)
@@ -251,5 +264,49 @@ func TestRequiredKValues(t *testing.T) {
 	}
 	if k := RequiredK(192, 16, 32); k < 25 || k > 50 {
 		t.Errorf("RequiredK(192,16,32) = %d outside [25,50]", k)
+	}
+}
+
+// goldenBootstrapHash is the SHA-256 of the serialized bootstrap output in
+// TestBootstrapGoldenHash. A schedule change (for example how the DFT
+// stages key-switch) changes the noise and so this hash, by design; a
+// kernel rewrite must not.
+const goldenBootstrapHash = "503875f1aeecaaa9f3df4da6629ba9188fdec25c61c765f94c29992b9503b7bf"
+
+// TestBootstrapGoldenHash pins the refreshed ciphertext bits of one
+// seeded bootstrap: same seed, same keys, same message, same output in
+// every process and at every worker count. The message goes through the
+// float64 encoder, whose rounding is pinned on amd64 (other architectures
+// may fuse multiply-adds), so the hash is only checked there.
+func TestBootstrapGoldenHash(t *testing.T) {
+	if testing.Short() {
+		t.Skip("bootstrap is expensive; skipping in -short mode")
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden hash is recorded on amd64 (GOARCH=%s)", runtime.GOARCH)
+	}
+	params := bootParams(t)
+	src := bootSource()
+	kg := ckks.NewKeyGenerator(params, src)
+	sk := kg.GenSecretKeySparse(16)
+	btp, err := NewBootstrapper(params, DefaultParameters(), sk, src, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := ckks.NewEncoder(params)
+	msg := make([]complex128, params.Slots())
+	for i := range msg {
+		msg[i] = complex(float64(i%17)/17-0.5, float64(i%5)/5-0.4)
+	}
+	ct := ckks.NewSecretKeyEncryptor(params, sk, src).Encrypt(enc.Encode(msg))
+	out := btp.Bootstrap(btp.Evaluator().DropLevel(ct, 0))
+
+	var buf bytes.Buffer
+	if _, err := out.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != goldenBootstrapHash {
+		t.Errorf("bootstrap output hash %s, want %s", got, goldenBootstrapHash)
 	}
 }

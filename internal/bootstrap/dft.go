@@ -10,7 +10,8 @@ import (
 
 // dftGroup is one homomorphic stage of CoeffToSlot or SlotToCoeff: a
 // plaintext matrix–vector product (the paper's PtMatVecMult) costing one
-// level.
+// level, with its diagonals encoded over Q∪P for the ModDown-hoisted
+// schedule.
 type dftGroup struct {
 	lt *ckks.LinearTransform
 }
@@ -32,19 +33,11 @@ type homomorphicDFT struct {
 // each group consumes one level. fold is a real constant multiplied into
 // the overall product, distributed evenly across the groups (this is how
 // bootstrapping performs its divisions by 2n, K·q0/Δ, etc. for free).
-// n1 selects the BSGS baby-step count for each group's PtMatVecMult
-// (0 = naive hoisted loop); raised additionally encodes the diagonals over
-// Q∪P for the hoisted-ModDown evaluation path.
-func buildDFT(enc *ckks.Encoder, params *ckks.Parameters, fftIter, startLevel int, inverse bool, fold float64, n1 int, raised bool) *homomorphicDFT {
+func buildDFT(enc *ckks.Encoder, params *ckks.Parameters, fftIter, startLevel int, inverse bool, fold float64) *homomorphicDFT {
 	n := params.Slots()
 	stages := enc.FFTStageCount()
 	if fftIter < 1 || fftIter > stages {
 		panic(fmt.Sprintf("bootstrap: fftIter %d outside [1,%d]", fftIter, stages))
-	}
-	if raised && n1 > 1 {
-		// BSGS pre-rotates the encoded diagonals; the hoisted-ModDown path
-		// rotates by raw indices, so the two encodings are incompatible.
-		panic("bootstrap: raised (hoisted-ModDown) DFT requires n1 <= 1")
 	}
 	perGroupFold := cmplx.Pow(complex(fold, 0), complex(1/float64(fftIter), 0))
 
@@ -59,7 +52,7 @@ func buildDFT(enc *ckks.Encoder, params *ckks.Parameters, fftIter, startLevel in
 		from, to := bounds[g], bounds[g+1]
 		diags := groupMatrixDiags(enc, n, from, to, inverse, perGroupFold)
 		level := startLevel - g
-		lt := ckks.NewLinearTransform(enc, diags, level, params.Scale(), n1, raised)
+		lt := ckks.NewLinearTransform(enc, diags, level, params.Scale(), 0, true)
 		dft.groups = append(dft.groups, dftGroup{lt: lt})
 	}
 	return dft
@@ -102,10 +95,6 @@ func (d *homomorphicDFT) rotationSteps() []int {
 		for _, s := range g.lt.RotationSteps() {
 			seen[s] = true
 		}
-		// The hoisted-ModDown path rotates by raw diagonal indices.
-		for idx := range g.lt.Diags {
-			seen[idx] = true
-		}
 	}
 	steps := make([]int, 0, len(seen))
 	for s := range seen {
@@ -117,17 +106,15 @@ func (d *homomorphicDFT) rotationSteps() []int {
 	return steps
 }
 
-// apply evaluates the groups in order, rescaling after each.
-func (d *homomorphicDFT) apply(ev *ckks.Evaluator, ct *ckks.Ciphertext, hoistedModDown bool) *ckks.Ciphertext {
+// apply evaluates the groups in order, rescaling after each. Every group
+// pays one Decomp+ModUp and one ModDown pair, however many diagonals it
+// has (the MAD ModDown hoisting of §3.2).
+func (d *homomorphicDFT) apply(ev *ckks.Evaluator, ct *ckks.Ciphertext) *ckks.Ciphertext {
 	for _, g := range d.groups {
 		if ct.Level > g.lt.Level {
 			ct = ev.DropLevel(ct, g.lt.Level)
 		}
-		if hoistedModDown {
-			ct = ev.Rescale(ev.EvalLinearTransformHoistedModDown(ct, g.lt))
-		} else {
-			ct = ev.Rescale(ev.EvalLinearTransform(ct, g.lt))
-		}
+		ct = ev.Rescale(ev.EvalLinearTransformHoistedModDown(ct, g.lt))
 	}
 	return ct
 }

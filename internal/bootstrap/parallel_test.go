@@ -12,8 +12,9 @@ import (
 // CoeffToSlot, EvalMod, SlotToCoeff) under every worker count on one shared
 // Bootstrapper and demands bit-identical refreshed ciphertexts. This is the
 // end-to-end form of the limb-independence argument: every parallel axis the
-// evaluator uses (limbs, digits, rotation steps, coefficient chunks) must
-// regroup the arithmetic without changing a single output word.
+// evaluator uses (limbs, digits, rotation steps, coefficient chunks, the
+// hoisted DFT's per-worker accumulators) must regroup the arithmetic
+// without changing a single output word.
 func TestBootstrapBitIdenticalAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bootstrap is expensive; skipping in -short mode")
@@ -23,9 +24,7 @@ func TestBootstrapBitIdenticalAcrossWorkers(t *testing.T) {
 	kg := ckks.NewKeyGenerator(params, src)
 	sk := kg.GenSecretKeySparse(16)
 
-	bp := DefaultParameters()
-	bp.HoistedModDown = true // cover the per-worker accumulator merge too
-	btp, err := NewBootstrapper(params, bp, sk, src, true)
+	btp, err := NewBootstrapper(params, DefaultParameters(), sk, src, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"repro/internal/bootstrap"
 )
 
 // TestDriftBootstrapGate is the acceptance gate for the cost-ledger
@@ -33,7 +35,7 @@ func TestDriftBootstrapGate(t *testing.T) {
 	for _, k := range rep.Kinds {
 		kinds[k.Kind] = k
 	}
-	for _, want := range []string{"Mult", "MulRelin", "Rescale", "RotateHoisted"} {
+	for _, want := range []string{"Mult", "MulRelin", "Rescale", "LinearTransform"} {
 		if _, ok := kinds[want]; !ok {
 			t.Errorf("kind %q missing from drift report", want)
 		}
@@ -58,8 +60,14 @@ func TestDriftBootstrapGate(t *testing.T) {
 			t.Errorf("%s: NTT count predicted %d != measured %d", k.Kind, k.PredNTT, k.MeasNTT)
 		}
 	}
-	if !kinds["RotateHoisted"].Informational {
-		t.Errorf("RotateHoisted should be informational (hoisted schedules diverge)")
+	// Every CoeffToSlot and SlotToCoeff stage is one ModDown-hoisted
+	// PtMatVecMult span.
+	bp := bootstrap.DefaultParameters()
+	if lt := kinds["LinearTransform"]; lt.Count != bp.CtSIter+bp.StCIter {
+		t.Errorf("LinearTransform count = %d, want %d DFT stages", lt.Count, bp.CtSIter+bp.StCIter)
+	}
+	if !kinds["LinearTransform"].Informational {
+		t.Errorf("LinearTransform should be informational (hoisted schedules diverge)")
 	}
 
 	// The report must round-trip as JSON for the CI artifact.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/prng"
+	"repro/internal/ring"
 )
 
 // testParams returns a small (insecure, test-only) parameter set:
@@ -407,6 +408,29 @@ func TestParameterValidation(t *testing.T) {
 	}
 	if _, err := NewParameters(ParametersLiteral{LogN: 10, LogQ: nil, LogP: []int{40}, LogScale: 30}); err == nil {
 		t.Error("expected error for empty LogQ")
+	}
+}
+
+// TestParametersRejectTooManyDigits pins the digit-count cap of the fused
+// key-switch inner product: ring.MaxDotTerms digits are accepted, one more
+// is rejected before any prime is generated.
+func TestParametersRejectTooManyDigits(t *testing.T) {
+	logQ := func(limbs int) []int {
+		out := make([]int, limbs)
+		for i := range out {
+			out[i] = 30
+		}
+		return out
+	}
+	p, err := NewParameters(ParametersLiteral{LogN: 4, LogQ: logQ(ring.MaxDotTerms), LogP: []int{31}, LogScale: 20})
+	if err != nil {
+		t.Fatalf("%d digits rejected: %v", ring.MaxDotTerms, err)
+	}
+	if got := p.Dnum(); got != ring.MaxDotTerms {
+		t.Fatalf("Dnum = %d, want %d", got, ring.MaxDotTerms)
+	}
+	if _, err := NewParameters(ParametersLiteral{LogN: 4, LogQ: logQ(ring.MaxDotTerms + 1), LogP: []int{31}, LogScale: 20}); err == nil {
+		t.Errorf("%d digits accepted, want an error", ring.MaxDotTerms+1)
 	}
 }
 

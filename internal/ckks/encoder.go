@@ -6,7 +6,6 @@ import (
 	"math/cmplx"
 
 	"repro/internal/ring"
-	"repro/internal/rns"
 )
 
 // Encoder maps complex vectors to ring plaintexts and back through the
@@ -131,33 +130,20 @@ func (e *Encoder) coeffsFromValues(values []complex128, scale float64) []float64
 // EncodeAtLevel encodes up to n complex values into a plaintext at the
 // given level and scale. Shorter inputs are zero-padded.
 func (e *Encoder) EncodeAtLevel(values []complex128, scale float64, level int) *Plaintext {
-	coeffs := e.coeffsFromValues(values, scale)
-	rQ := e.params.RingQ().AtLevel(level)
-	pt := &Plaintext{Value: rQ.NewPoly(), Scale: scale, Level: level}
-	for j, c := range coeffs {
-		e.setSigned(rQ, pt.Value, j, c)
-	}
-	pt.Value.IsNTT = false
-	rQ.NTTPoly(pt.Value)
-	return pt
+	value := e.encodeLimbs(e.params.RingQ().AtLevel(level), e.coeffsFromValues(values, scale))
+	return &Plaintext{Value: value, Scale: scale, Level: level}
 }
 
-// EncodeQP encodes values into a raised plaintext with both Q and P limbs,
-// as required to multiply diagonals against raised (mod PQ) ciphertext
-// parts in the hoisted-ModDown PtMatVecMult (§3.2, Figure 5).
-func (e *Encoder) EncodeQP(values []complex128, scale float64, level int) rns.PolyQP {
-	coeffs := e.coeffsFromValues(values, scale)
-	rQ := e.params.RingQ().AtLevel(level)
-	rP := e.params.RingP()
-	out := e.params.Converter().NewPolyQP(level)
+// encodeLimbs writes the signed integer coefficients into a new
+// polynomial over r and returns it in NTT form.
+func (e *Encoder) encodeLimbs(r *ring.Ring, coeffs []float64) *ring.Poly {
+	p := r.NewPoly()
 	for j, c := range coeffs {
-		e.setSigned(rQ, out.Q, j, c)
-		e.setSigned(rP, out.P, j, c)
+		e.setSigned(r, p, j, c)
 	}
-	out.Q.IsNTT, out.P.IsNTT = false, false
-	rQ.NTTPoly(out.Q)
-	rP.NTTPoly(out.P)
-	return out
+	p.IsNTT = false
+	r.NTTPoly(p)
+	return p
 }
 
 // Encode encodes at the top level with the default scale Δ.

@@ -540,11 +540,10 @@ func (ev *Evaluator) putDigits(digits []rns.PolyQP) {
 	}
 }
 
-// kskInnerProduct accumulates Σ_j ksk_j ⊙ digits_j into the raised
-// accumulator pair (u, v) — Algorithm 3 line 3. The parallel split is over
-// limbs, with the digit loop innermost per limb: every accumulator word
-// sees the digits in the same ascending order as the serial code, so the
-// result is bit-identical for any worker count.
+// kskInnerProduct sets the raised pair (u, v) to Σ_j ksk_j ⊙ digits_j —
+// Algorithm 3 line 3. u and v are overwritten, so they may come straight
+// from the pool. The parallel split is over limbs and every coefficient's
+// sum is exact, so the result is bit-identical for any worker count.
 func (ev *Evaluator) kskInnerProduct(level int, digits []rns.PolyQP, swk *SwitchingKey, u, v rns.PolyQP, workers int) {
 	p := ev.params
 	rQ := p.RingQ().AtLevel(level)
@@ -573,46 +572,39 @@ func (ev *Evaluator) kskInnerProduct(level int, digits []rns.PolyQP, swk *Switch
 			ev.fi.Poly("ckks.ksk.digitA", ds[j].A.Q)
 		}
 	}
-	// The digit loop accumulates lazily in [0, 2q) per limb and folds once
-	// at the end — one correction-free Barrett per product instead of a
-	// fully reduced multiply plus modular add per digit. The fold restores
-	// the exact canonical residues, so results are unchanged bit-for-bit.
-	// Memory hooks: the fresh accumulators were zeroed on chip (pooled,
-	// untraced), so a leading traced write declares them resident — their
-	// eventual writeback is the model's 2·raised ciphertext writes. Each
-	// digit iteration reads two key limbs (class key) and the shared raised
-	// digit once; the second product's digit reuse is register-resident.
+	// One fused kernel per limb: every coefficient sums its β products in
+	// 128 bits and is reduced once (ring.SubRing.DotPairVec), which is
+	// exact, so the result equals the per-digit strictly reduced sum.
+	// Memory hooks: the pooled accumulators are untraced until here, so a
+	// leading traced write declares them resident — their eventual
+	// writeback is the model's 2·raised ciphertext writes. Each digit
+	// reads two key limbs (class key) and the shared raised digit once;
+	// the second product's digit reuse is register-resident.
 	ev.fanOut(nQ+nP, workers, func(i int) {
-		if i < nQ {
-			s := rQ.SubRings[i]
-			uQ, vQ := u.Q.Coeffs[i][:n], v.Q.Coeffs[i][:n]
-			ev.tr.Write(uQ)
-			ev.tr.Write(vQ)
-			for j := range digits {
-				ev.tr.ReadClass(ds[j].B.Q.Coeffs[i][:n], memtrace.ClassKey)
-				ev.tr.Read(digits[j].Q.Coeffs[i][:n])
-				s.MulThenAddVecLazy(ds[j].B.Q.Coeffs[i][:n], digits[j].Q.Coeffs[i][:n], uQ)
-				ev.tr.ReadClass(ds[j].A.Q.Coeffs[i][:n], memtrace.ClassKey)
-				s.MulThenAddVecLazy(ds[j].A.Q.Coeffs[i][:n], digits[j].Q.Coeffs[i][:n], vQ)
+		limb := func(p rns.PolyQP) []uint64 {
+			if i < nQ {
+				return p.Q.Coeffs[i][:n]
 			}
-			s.FoldVec(uQ)
-			s.FoldVec(vQ)
-		} else {
-			k := i - nQ
-			s := rP.SubRings[k]
-			uP, vP := u.P.Coeffs[k][:n], v.P.Coeffs[k][:n]
-			ev.tr.Write(uP)
-			ev.tr.Write(vP)
-			for j := range digits {
-				ev.tr.ReadClass(ds[j].B.P.Coeffs[k][:n], memtrace.ClassKey)
-				ev.tr.Read(digits[j].P.Coeffs[k][:n])
-				s.MulThenAddVecLazy(ds[j].B.P.Coeffs[k][:n], digits[j].P.Coeffs[k][:n], uP)
-				ev.tr.ReadClass(ds[j].A.P.Coeffs[k][:n], memtrace.ClassKey)
-				s.MulThenAddVecLazy(ds[j].A.P.Coeffs[k][:n], digits[j].P.Coeffs[k][:n], vP)
-			}
-			s.FoldVec(uP)
-			s.FoldVec(vP)
+			return p.P.Coeffs[i-nQ][:n]
 		}
+		var s *ring.SubRing
+		if i < nQ {
+			s = rQ.SubRings[i]
+		} else {
+			s = rP.SubRings[i-nQ]
+		}
+		var keyB, keyA, dig [ring.MaxDotTerms][]uint64
+		ui, vi := limb(u), limb(v)
+		ev.tr.Write(ui)
+		ev.tr.Write(vi)
+		for j := range digits {
+			keyB[j], keyA[j], dig[j] = limb(ds[j].B), limb(ds[j].A), limb(digits[j])
+			ev.tr.ReadClass(keyB[j], memtrace.ClassKey)
+			ev.tr.Read(dig[j])
+			ev.tr.ReadClass(keyA[j], memtrace.ClassKey)
+		}
+		beta := len(digits)
+		s.DotPairVec(keyB[:beta], keyA[:beta], dig[:beta], ui, vi)
 	})
 	u.Q.IsNTT, u.P.IsNTT = true, true
 	v.Q.IsNTT, v.P.IsNTT = true, true
@@ -627,8 +619,8 @@ func (ev *Evaluator) keySwitchRaised(level int, x *ring.Poly, swk *SwitchingKey)
 	if err := ev.params.checkKeyLevels(swk); err != nil {
 		panic(err)
 	}
-	u = ev.getZeroPolyQP(level)
-	v = ev.getZeroPolyQP(level)
+	conv := ev.params.Converter()
+	u, v = conv.GetPolyQP(level), conv.GetPolyQP(level)
 	digits := ev.decomposeModUp(level, x, ev.workers)
 	ev.kskInnerProduct(level, digits, swk, u, v, ev.workers)
 	ev.putDigits(digits)
@@ -770,8 +762,7 @@ func (ev *Evaluator) rotateFromDigits(level int, ct *Ciphertext, digits []rns.Po
 		rQ.AutomorphismNTT(digits[j].Q, g, rot[j].Q)
 		rP.AutomorphismNTT(digits[j].P, g, rot[j].P)
 	}
-	u := ev.getZeroPolyQP(level)
-	v := ev.getZeroPolyQP(level)
+	u, v := conv.GetPolyQP(level), conv.GetPolyQP(level)
 	ev.kskInnerProduct(level, rot, &gk.SwitchingKey, u, v, workers)
 	for j := range rot {
 		conv.PutPolyQP(rot[j])

@@ -15,7 +15,7 @@ import (
 // evaluation; diagonal d = j·N1 + i is stored rotated right by j·N1.
 type LinearTransform struct {
 	Diags map[int]*Plaintext // Q-basis plaintexts (standard/BSGS path)
-	QP    map[int]rns.PolyQP // raised plaintexts (hoisted-ModDown path)
+	QP    map[int]rns.PolyQP // raised plaintexts (hoisted-ModDown path); Q limbs alias Diags
 	N1    int                // baby-step count; ≤ 1 means the naive loop
 	Level int
 	Scale float64
@@ -38,7 +38,9 @@ func rotateVec(v []complex128, k int) []complex128 {
 // applied. n1 selects the BSGS baby-step count (pass 0 for the naive
 // single loop, or a divisor-ish value near √(#diags) for BSGS).
 // If raised is true the diagonals are additionally encoded over Q∪P for
-// the hoisted-ModDown evaluation path.
+// the hoisted-ModDown evaluation path: each diagonal is encoded once, and
+// its raised plaintext shares the Q limbs of the Q-basis plaintext, so
+// only the P limbs cost extra memory.
 func NewLinearTransform(enc *Encoder, diags map[int][]complex128, level int, scale float64, n1 int, raised bool) *LinearTransform {
 	n := enc.params.Slots()
 	lt := &LinearTransform{
@@ -62,9 +64,11 @@ func NewLinearTransform(enc *Encoder, diags map[int][]complex128, level int, sca
 			j := dd / n1
 			v = rotateVec(vec, -j*n1)
 		}
-		lt.Diags[dd] = enc.EncodeAtLevel(v, scale, level)
+		coeffs := enc.coeffsFromValues(v, scale)
+		pt := &Plaintext{Value: enc.encodeLimbs(enc.params.RingQ().AtLevel(level), coeffs), Scale: scale, Level: level}
+		lt.Diags[dd] = pt
 		if raised {
-			lt.QP[dd] = enc.EncodeQP(v, scale, level)
+			lt.QP[dd] = rns.PolyQP{Q: pt.Value, P: enc.encodeLimbs(enc.params.RingP(), coeffs)}
 		}
 	}
 	return lt
@@ -198,7 +202,8 @@ func (ev *Evaluator) evalLinearTransformNaive(ct *Ciphertext, lt *LinearTransfor
 // by PModUp), and a single pair of ModDowns at the very end — three RNS
 // basis changes total, regardless of the number of diagonals.
 //
-// The transform must have been built with raised = true.
+// The transform must have been built with raised = true. The op span is
+// ckks.LinearTransform, with the diagonal count as its op.fanout.
 //
 // The diagonal loop fans out across workers with one raised accumulator
 // pair per worker, merged serially in worker order afterwards. Modular
@@ -210,6 +215,8 @@ func (ev *Evaluator) EvalLinearTransformHoistedModDown(ct *Ciphertext, lt *Linea
 	}
 	p := ev.params
 	level := ct.Level
+	sp := ev.startOp("LinearTransform", level, ct.Scale, len(lt.QP))
+	defer ev.endOp(sp)
 	rQ := p.RingQ().AtLevel(level)
 	rP := p.RingP()
 	conv := p.Converter()
@@ -238,6 +245,7 @@ func (ev *Evaluator) EvalLinearTransformHoistedModDown(ct *Ciphertext, lt *Linea
 	for i, d := range steps {
 		jobs[i] = hoistJob{d: d}
 		if d != 0 {
+			ev.rec.Add("ckks.rotate", 1)
 			g := rQ.GaloisElement(d)
 			gk := ev.galoisKey(g)
 			ev.pinDigits(&gk.SwitchingKey, len(digits))
@@ -336,8 +344,7 @@ func (ev *Evaluator) hoistedStepRaised(level int, ct *Ciphertext, digits []rns.P
 		conv.PModUp(level, ct.C1, v, workers)
 		return u, v
 	}
-	u = ev.getZeroPolyQP(level)
-	v = ev.getZeroPolyQP(level)
+	u, v = conv.GetPolyQP(level), conv.GetPolyQP(level)
 	rot := make([]rns.PolyQP, len(digits))
 	for j := range digits {
 		rot[j] = conv.GetPolyQP(level)

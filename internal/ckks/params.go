@@ -53,6 +53,12 @@ func NewParameters(lit ParametersLiteral) (*Parameters, error) {
 	if len(lit.LogQ) == 0 || len(lit.LogP) == 0 {
 		return nil, fmt.Errorf("ckks: need at least one q and one p modulus")
 	}
+	// The key-switch inner product sums one product per digit in a 128-bit
+	// accumulator (ring.SubRing.DotPairVec), which caps the digit count.
+	if dnum := (len(lit.LogQ) + len(lit.LogP) - 1) / len(lit.LogP); dnum > ring.MaxDotTerms {
+		return nil, fmt.Errorf("ckks: %d key-switching digits (got=%d Q / %d P limbs, want at most %d digits)",
+			dnum, len(lit.LogQ), len(lit.LogP), ring.MaxDotTerms)
+	}
 	// Group the requested bit sizes so equal sizes share one downward scan.
 	sizes := map[int]int{}
 	for _, b := range append(append([]int{}, lit.LogQ...), lit.LogP...) {

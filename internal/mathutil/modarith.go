@@ -135,35 +135,6 @@ func (b Barrett) Reduce128(hi, lo uint64) uint64 {
 	return rlo
 }
 
-// Reduce128Lazy reduces hi·2^64 + lo to a value congruent modulo q but
-// only partially reduced: the result is in [0, 3q). It is Reduce128 minus
-// the final correction loop — the quotient estimate undershoots by at most
-// 2, so the residue r = x − qhat·q satisfies r < 3q < 2^63 for the ≤ 61-bit
-// moduli this package supports, and its high word is always zero. Callers
-// accumulate such lazy residues and fold once at the end (see
-// ring.SubRing.MulThenAddVecLazy).
-func (b Barrett) Reduce128Lazy(hi, lo uint64) uint64 {
-	mh, ml := b.hi, b.lo
-
-	c1h, _ := bits.Mul64(lo, ml)
-	c2h, c2l := bits.Mul64(lo, mh)
-	c3h, c3l := bits.Mul64(hi, ml)
-	c4h, c4l := bits.Mul64(hi, mh)
-
-	mid, carry1 := bits.Add64(c2l, c3l, 0)
-	mid, carry2 := bits.Add64(mid, c1h, 0)
-	_ = mid
-
-	q128, _ := bits.Add64(c2h, c3h, 0)
-	q128, _ = bits.Add64(q128, c4l, 0)
-	q128, _ = bits.Add64(q128, carry1+carry2, 0)
-	_ = c4h // bits [192,256) of the quotient estimate multiply q into wrap-around territory below
-
-	// Only the low 64 bits of x − qhat·q survive; the true residue is < 3q,
-	// so they are the whole residue.
-	return lo - q128*b.Q
-}
-
 // ShoupPrecomp returns the Shoup precomputation floor(w * 2^64 / q) for a
 // fixed multiplicand w < q. Pair it with MulModShoup for a fast modular
 // multiplication by the constant w.

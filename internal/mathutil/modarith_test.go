@@ -2,7 +2,6 @@ package mathutil
 
 import (
 	"math/big"
-	"math/bits"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -193,35 +192,4 @@ func TestBitReversePermute(t *testing.T) {
 		}
 	}()
 	BitReversePermute(make([]uint64, 3))
-}
-
-// TestReduce128Lazy pins the lazy-reduction contract: the result is
-// congruent to the input modulo q and strictly below 3q, for random
-// 128-bit inputs and for inputs built as sums of ≤ 61-bit products (the
-// shape the lazy accumulators feed it).
-func TestReduce128Lazy(t *testing.T) {
-	for _, q := range testPrimes {
-		br := NewBarrett(q)
-		for i := 0; i < 2000; i++ {
-			hi, lo := rand.Uint64(), rand.Uint64()
-			want := br.Reduce128(hi, lo)
-			got := br.Reduce128Lazy(hi, lo)
-			if got >= 3*q {
-				t.Fatalf("q=%d: Reduce128Lazy(%d,%d) = %d, not below 3q", q, hi, lo, got)
-			}
-			if got%q != want {
-				t.Fatalf("q=%d: Reduce128Lazy(%d,%d) ≡ %d (mod q), want %d", q, hi, lo, got%q, want)
-			}
-		}
-		// Product-shaped inputs: x·w with x, w < q (both < 2^61).
-		for i := 0; i < 2000; i++ {
-			x, w := rand.Uint64N(q), rand.Uint64N(q)
-			hi, lo := bits.Mul64(x, w)
-			want := br.MulMod(x, w)
-			got := br.Reduce128Lazy(hi, lo)
-			if got >= 3*q || got%q != want {
-				t.Fatalf("q=%d: lazy product %d·%d = %d, want ≡ %d below 3q", q, x, w, got, want)
-			}
-		}
-	}
 }

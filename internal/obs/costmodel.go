@@ -16,9 +16,10 @@ type OpCost struct {
 //
 // kind names the operation exactly as its span does, minus the package
 // prefix ("Mult", "MulRelin", "Square", "Rescale", "KeySwitch",
-// "Rotate", "Conjugate", "RotateHoisted"). limbs is the operand limb
-// count (level+1); fanout is the hoisted fan-out width (0 or 1 for
-// non-hoisted ops). ok reports whether the model covers the kind.
+// "Rotate", "Conjugate", "RotateHoisted", "LinearTransform"). limbs is
+// the operand limb count (level+1); fanout is the hoisted fan-out width
+// (the rotation count, or a linear transform's diagonal count; 0 or 1
+// for non-hoisted ops). ok reports whether the model covers the kind.
 type CostModel interface {
 	PredictOp(kind string, limbs, fanout int) (cost OpCost, ok bool)
 }

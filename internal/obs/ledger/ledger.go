@@ -97,6 +97,19 @@ func (m *Model) PredictOp(kind string, limbs, fanout int) (obs.OpCost, bool) {
 			fanout = 1
 		}
 		c = m.ctx.HoistedRotations(limbs, fanout)
+	case "LinearTransform":
+		// The functional PtMatVecMult always runs the ModDown-hoisted
+		// schedule (Figure 5(c)); fanout is its diagonal count. The model
+		// closes the product with a Rescale pair, which the functional
+		// library issues as its own ckks.Rescale span, so it is taken out.
+		h := m.ctx
+		h.Opts.ModDownHoist = true
+		if fanout < 1 {
+			fanout = 1
+		}
+		mv := h.PtMatVecMult(limbs, fanout)
+		rs := h.RescalePoly(limbs).Times(2)
+		return obs.OpCost{Bytes: mv.Bytes() - rs.Bytes(), Ops: mv.Ops() - rs.Ops(), NTT: mv.NTT - rs.NTT}, true
 	default:
 		return obs.OpCost{}, false
 	}

@@ -56,6 +56,13 @@ func TestPredictOpKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := m.Ctx()
+	hoist := ctx
+	hoist.Opts.ModDownHoist = true
+	// A hoisted PtMatVecMult without its trailing Rescale pair, which the
+	// functional library issues as a separate op.
+	matVec := func(l, diags int) uint64 {
+		return hoist.PtMatVecMult(l, diags).Bytes() - hoist.RescalePoly(l).Times(2).Bytes()
+	}
 	cases := []struct {
 		kind   string
 		limbs  int
@@ -71,6 +78,8 @@ func TestPredictOpKinds(t *testing.T) {
 		{"Conjugate", 12, 0, ctx.Rotate(12).Bytes()},
 		{"RotateHoisted", 12, 8, ctx.HoistedRotations(12, 8).Bytes()},
 		{"RotateHoisted", 12, 0, ctx.HoistedRotations(12, 1).Bytes()},
+		{"LinearTransform", 12, 15, matVec(12, 15)},
+		{"LinearTransform", 12, 0, matVec(12, 1)},
 	}
 	for _, tc := range cases {
 		c, ok := m.PredictOp(tc.kind, tc.limbs, tc.fanout)

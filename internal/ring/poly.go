@@ -178,63 +178,43 @@ func (s *SubRing) MulThenAddVec(a, b, acc []uint64) {
 	}
 }
 
-// MulThenAddVecLazy sets acc[j] += a[j]·b[j] (mod q) keeping the
-// accumulator lazily reduced in [0, 2q) instead of canonical [0, q): the
-// product pays only the correction-free Barrett estimate (a residue in
-// [0, 3q), see mathutil.Barrett.Reduce128Lazy) and the sum — below 5q,
-// hence below 2^64 for ≤ 61-bit moduli — is brought back under 2q with
-// two branchless conditional subtractions. Callers accumulate a whole
-// digit loop this way and fold once with FoldVec; acc must be < 2q on
-// entry, which FoldVec, a zeroed buffer, or a prior lazy call guarantee.
-func (s *SubRing) MulThenAddVecLazy(a, b, acc []uint64) {
-	br, q2 := s.Barrett, 2*s.Q
-	for j := range acc {
-		hi, lo := bits.Mul64(a[j], b[j])
-		v := acc[j] + br.Reduce128Lazy(hi, lo)
-		if v >= q2 {
-			v -= q2
-		}
-		if v >= q2 {
-			v -= q2
-		}
-		acc[j] = v
-	}
-}
+// MaxDotTerms is the largest term count DotPairVec accepts. Each product
+// of two residues below 2^61 is below 2^122, so up to 64 of them sum
+// exactly in 128 bits.
+const MaxDotTerms = 64
 
-// FoldVec reduces a lazily accumulated limb from [0, 2q) to canonical
-// [0, q) — the single closing fold paired with MulThenAddVecLazy.
-func (s *SubRing) FoldVec(acc []uint64) {
-	q := s.Q
-	for j, v := range acc {
-		if v >= q {
-			acc[j] = v - q
+// DotPairVec sets, over a single limb,
+//
+//	out0[j] = Σ_k a0[k][j]·b[k][j] mod q,  out1[j] = Σ_k a1[k][j]·b[k][j] mod q.
+//
+// It is the per-limb core of the key-switch inner product: a0 and a1 are
+// the two key halves and b the raised digits, read once for both sums.
+// Each output coefficient sums its products exactly in a 128-bit
+// accumulator and pays one Barrett.Reduce128, so the result equals the
+// strictly reduced sum bit for bit. Inputs must be canonical residues
+// (< q); len(b) must not exceed MaxDotTerms. out0 and out1 are
+// overwritten and must not alias the inputs.
+func (s *SubRing) DotPairVec(a0, a1, b [][]uint64, out0, out1 []uint64) {
+	if len(b) > MaxDotTerms || len(a0) != len(b) || len(a1) != len(b) {
+		panic(fmt.Sprintf("ring: DotPairVec terms (got=%d/%d/%d, want equal and <= %d)", len(a0), len(a1), len(b), MaxDotTerms))
+	}
+	br := s.Barrett
+	n := len(out0)
+	out1 = out1[:n]
+	for j := 0; j < n; j++ {
+		var h0, l0, h1, l1 uint64
+		for k, bk := range b {
+			x := bk[j]
+			ph, pl := bits.Mul64(a0[k][j], x)
+			var c uint64
+			l0, c = bits.Add64(l0, pl, 0)
+			h0 += ph + c
+			ph, pl = bits.Mul64(a1[k][j], x)
+			l1, c = bits.Add64(l1, pl, 0)
+			h1 += ph + c
 		}
-	}
-}
-
-// MulCoeffsThenAddLazy sets out += a ⊙ b slot-wise with the accumulator
-// kept lazily in [0, 2q) per limb. Pair with Fold to return to canonical
-// residues; out must hold values < 2q on entry (canonical polynomials and
-// prior lazy accumulations both qualify).
-func (r *Ring) MulCoeffsThenAddLazy(a, b, out *Poly) {
-	r.checkCompat(a, b, out)
-	for i, s := range r.SubRings {
-		s.tr.Read(a.Coeffs[i][:r.N])
-		s.tr.Read(b.Coeffs[i][:r.N])
-		s.tr.Read(out.Coeffs[i][:r.N])
-		s.MulThenAddVecLazy(a.Coeffs[i], b.Coeffs[i], out.Coeffs[i][:r.N])
-		s.tr.Write(out.Coeffs[i][:r.N])
-	}
-	out.IsNTT = a.IsNTT
-}
-
-// Fold reduces every limb of p from lazy [0, 2q) to canonical [0, q).
-func (r *Ring) Fold(p *Poly) {
-	r.checkCompat(p)
-	for i, s := range r.SubRings {
-		s.tr.Read(p.Coeffs[i][:r.N])
-		s.FoldVec(p.Coeffs[i][:r.N])
-		s.tr.Write(p.Coeffs[i][:r.N])
+		out0[j] = br.Reduce128(h0, l0)
+		out1[j] = br.Reduce128(h1, l1)
 	}
 }
 

@@ -3,6 +3,8 @@ package ring
 import (
 	"runtime"
 	"testing"
+
+	"repro/internal/mathutil"
 )
 
 // TestOpsPreserveNTTFlag round-trips the representation flag through every
@@ -25,8 +27,6 @@ func TestOpsPreserveNTTFlag(t *testing.T) {
 		{"Neg", func(a, _, out *Poly) { r.Neg(a, out) }},
 		{"MulCoeffs", func(a, b, out *Poly) { r.MulCoeffs(a, b, out) }},
 		{"MulCoeffsThenAdd", func(a, b, out *Poly) { r.MulCoeffsThenAdd(a, b, out) }},
-		{"MulCoeffsThenAddLazy", func(a, b, out *Poly) { r.MulCoeffsThenAddLazy(a, b, out) }},
-		{"MulCoeffsThenAddLazy+Fold", func(a, b, out *Poly) { r.MulCoeffsThenAddLazy(a, b, out); r.Fold(out) }},
 		{"MulScalar", func(a, _, out *Poly) { r.MulScalar(a, 7, out) }},
 		{"AddScalar", func(a, _, out *Poly) { r.AddScalar(a, 7, out) }},
 		{"Copy", func(a, _, out *Poly) { a.Copy(out) }},
@@ -119,34 +119,75 @@ func TestMulCoeffsThenAddAccumulates(t *testing.T) {
 	}
 }
 
-// TestMulCoeffsThenAddLazyFoldMatchesStrict pins the lazy digit-loop
-// contract: any number of lazy accumulations followed by one Fold must
-// land on exactly the canonical residues the strict path produces, with
-// every intermediate value staying below 2q.
-func TestMulCoeffsThenAddLazyFoldMatchesStrict(t *testing.T) {
-	r := testRing(t, 16, 3)
+// TestDotPairVecMatchesStrict pins the fused inner-product contract: one
+// 128-bit accumulation and one reduction per coefficient must land on
+// exactly the residues a per-product strictly reduced sum produces, for
+// every term count up to MaxDotTerms at a 61-bit prime. The all-(q−1)
+// inputs drive the accumulator to its largest value, 64·(q−1)² < 2^128.
+func TestDotPairVecMatchesStrict(t *testing.T) {
+	primes, err := mathutil.GenerateNTTPrimes(61, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRing(16, primes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := r.SubRings[0]
+	q := s.Q
 	src := fixedSource()
-	strict, lazy := r.NewPoly(), r.NewPoly()
-	const digits = 9
-	for d := 0; d < digits; d++ {
-		a, b := r.NewPoly(), r.NewPoly()
-		r.SampleUniform(src, a)
-		r.SampleUniform(src, b)
-		r.MulCoeffsThenAdd(a, b, strict)
-		r.MulCoeffsThenAddLazy(a, b, lazy)
-		for i, s := range r.SubRings {
-			for j, v := range lazy.Coeffs[i] {
-				if v >= 2*s.Q {
-					t.Fatalf("digit %d limb %d coeff %d: lazy accumulator %d ≥ 2q=%d", d, i, j, v, 2*s.Q)
+	terms := func(beta int, fill func(p *Poly)) [][]uint64 {
+		out := make([][]uint64, beta)
+		for k := range out {
+			p := r.NewPoly()
+			fill(p)
+			out[k] = p.Coeffs[0]
+		}
+		return out
+	}
+	random := func(p *Poly) { r.SampleUniform(src, p) }
+	maximal := func(p *Poly) {
+		for j := range p.Coeffs[0] {
+			p.Coeffs[0][j] = q - 1
+		}
+	}
+	for beta := 1; beta <= MaxDotTerms; beta++ {
+		for _, in := range []struct {
+			name string
+			fill func(p *Poly)
+		}{{"random", random}, {"all q-1", maximal}} {
+			a0, a1, b := terms(beta, in.fill), terms(beta, in.fill), terms(beta, in.fill)
+			want0, want1 := make([]uint64, r.N), make([]uint64, r.N)
+			for k := 0; k < beta; k++ {
+				s.MulThenAddVec(a0[k], b[k], want0)
+				s.MulThenAddVec(a1[k], b[k], want1)
+			}
+			got0, got1 := make([]uint64, r.N), make([]uint64, r.N)
+			s.DotPairVec(a0, a1, b, got0, got1)
+			for j := range got0 {
+				if got0[j] != want0[j] || got1[j] != want1[j] {
+					t.Fatalf("β=%d %s coeff %d: got (%d, %d), want (%d, %d)",
+						beta, in.name, j, got0[j], got1[j], want0[j], want1[j])
 				}
 			}
 		}
 	}
-	r.Fold(lazy)
-	lazy.IsNTT = strict.IsNTT
-	if !lazy.Equal(strict) {
-		t.Error("lazy accumulate + fold disagrees with strict MulCoeffsThenAdd")
+}
+
+// TestDotPairVecRejectsTooManyTerms pins the overflow guard: a 65th term
+// could carry the 128-bit accumulator out, so the kernel refuses it.
+func TestDotPairVecRejectsTooManyTerms(t *testing.T) {
+	r := testRing(t, 16, 1)
+	terms := make([][]uint64, MaxDotTerms+1)
+	for k := range terms {
+		terms[k] = make([]uint64, r.N)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("DotPairVec accepted more than MaxDotTerms terms")
+		}
+	}()
+	r.SubRings[0].DotPairVec(terms, terms, terms, make([]uint64, r.N), make([]uint64, r.N))
 }
 
 // TestCopyPreservesDestinationCapacity exercises the buffer-reuse contract:

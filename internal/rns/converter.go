@@ -44,6 +44,12 @@ type Converter struct {
 	qpPool sync.Pool // scratch PolyQP at the full chain size
 	upPool sync.Pool // *modUpScratch: ModUpDigit output-view headers
 
+	// Per-limb constants of ModDown, Rescale and PModUp, computed once at
+	// construction: pMod[i] = P mod q_i, pInv[i] = P⁻¹ mod q_i, and
+	// qlInv[ℓ][i] = q_ℓ⁻¹ mod q_i for i < ℓ.
+	pMod, pInv []shoupConst
+	qlInv      [][]shoupConst
+
 	// rec, when non-nil, receives the counters "rns.extend" (basis
 	// extensions performed), "rns.extend.coeffs" (coefficients
 	// converted), "rns.extend.bytes" (kernel read+write traffic),
@@ -58,10 +64,33 @@ type Converter struct {
 	tr *memtrace.Tracer
 }
 
+// shoupConst is a constant multiplicand w < q with its Shoup
+// precomputation, for mathutil.MulModShoup.
+type shoupConst struct{ w, ws uint64 }
+
+func newShoupConst(w, q uint64) shoupConst {
+	return shoupConst{w: w, ws: mathutil.ShoupPrecomp(w, q)}
+}
+
 // NewConverter builds a Converter for the given modulus chains. RingP may
 // have any number of limbs ≥ 1.
 func NewConverter(ringQ, ringP *ring.Ring) *Converter {
 	c := &Converter{RingQ: ringQ, RingP: ringP, tables: make(map[tableKey]*ExtTable)}
+	qs := ringQ.Moduli
+	c.pMod = make([]shoupConst, len(qs))
+	c.pInv = make([]shoupConst, len(qs))
+	c.qlInv = make([][]shoupConst, len(qs))
+	for i, qi := range qs {
+		pm := ProductMod(ringP.Moduli, qi)
+		c.pMod[i] = newShoupConst(pm, qi)
+		if pm != 0 { // P shares a prime with Q only in Rescale-only converters
+			c.pInv[i] = newShoupConst(mathutil.InvMod(pm, qi), qi)
+		}
+		c.qlInv[i] = make([]shoupConst, i)
+		for k := 0; k < i; k++ {
+			c.qlInv[i][k] = newShoupConst(mathutil.InvMod(qi%qs[k], qs[k]), qs[k])
+		}
+	}
 	c.qpPool.New = func() any {
 		c.rec.Add("rns.pool.miss", 1)
 		p := c.NewPolyQP(ringQ.MaxLevel())
@@ -405,13 +434,12 @@ func (c *Converter) ModDown(levelQ int, a PolyQP, out *ring.Poly, workers int) {
 func (c *Converter) modDownLimb(a PolyQP, out *ring.Poly, hat [][]uint64, n, i int) {
 	s := c.RingQ.SubRings[i]
 	s.NTT(hat[i])
-	pInv := mathutil.InvMod(ProductMod(c.RingP.Moduli, s.Q), s.Q)
-	pInvShoup := mathutil.ShoupPrecomp(pInv, s.Q)
+	pInv := c.pInv[i]
 	ai, oi := a.Q.Coeffs[i], out.Coeffs[i]
 	hi := hat[i]
 	c.tr.Read(ai[:n])
 	for j := 0; j < n; j++ {
-		oi[j] = mathutil.MulModShoup(mathutil.SubMod(ai[j], hi[j], s.Q), pInv, pInvShoup, s.Q)
+		oi[j] = mathutil.MulModShoup(mathutil.SubMod(ai[j], hi[j], s.Q), pInv.w, pInv.ws, s.Q)
 	}
 	c.tr.Write(oi[:n])
 }
@@ -451,11 +479,11 @@ func (c *Converter) Rescale(levelQ int, a *ring.Poly, out *ring.Poly, workers in
 
 	if ring.EffectiveWorkers(levelQ, workers) == 1 {
 		for i := 0; i < levelQ; i++ {
-			c.rescaleLimb(a, out, scr, last, ql, half, n, i)
+			c.rescaleLimb(a, out, scr, last, levelQ, n, i)
 		}
 	} else {
 		ring.Parallel(levelQ, workers, func(i int) {
-			c.rescaleLimb(a, out, scr, last, ql, half, n, i)
+			c.rescaleLimb(a, out, scr, last, levelQ, n, i)
 		})
 	}
 	c.tr.Discard(last)
@@ -465,11 +493,10 @@ func (c *Converter) Rescale(levelQ int, a *ring.Poly, out *ring.Poly, workers in
 
 // rescaleLimb is the per-q_i body of Rescale, named so the serial path
 // avoids a dispatch closure.
-func (c *Converter) rescaleLimb(a, out, scr *ring.Poly, last []uint64, ql, half uint64, n, i int) {
+func (c *Converter) rescaleLimb(a, out, scr *ring.Poly, last []uint64, levelQ, n, i int) {
 	s := c.RingQ.SubRings[i]
-	qlInv := mathutil.InvMod(ql%s.Q, s.Q)
-	qlInvShoup := mathutil.ShoupPrecomp(qlInv, s.Q)
-	halfMod := half % s.Q
+	qlInv := c.qlInv[levelQ][i]
+	halfMod := (c.RingQ.Moduli[levelQ] >> 1) % s.Q
 
 	// b = (last' − q_ℓ/2) mod q_i, transformed forward.
 	b := scr.Coeffs[i][:n]
@@ -482,7 +509,7 @@ func (c *Converter) rescaleLimb(a, out, scr *ring.Poly, last []uint64, ql, half 
 	ai, oi := a.Coeffs[i], out.Coeffs[i]
 	c.tr.Read(ai[:n])
 	for j := 0; j < n; j++ {
-		oi[j] = mathutil.MulModShoup(mathutil.SubMod(ai[j], b[j], s.Q), qlInv, qlInvShoup, s.Q)
+		oi[j] = mathutil.MulModShoup(mathutil.SubMod(ai[j], b[j], s.Q), qlInv.w, qlInv.ws, s.Q)
 	}
 	c.tr.Write(oi[:n])
 	// The correction limb is dead after the combine — the model's
@@ -517,13 +544,11 @@ func (c *Converter) PModUp(levelQ int, a *ring.Poly, out PolyQP, workers int) {
 // pModUpLimb is the per-q_i body of PModUp, named so the serial path
 // avoids a dispatch closure.
 func (c *Converter) pModUpLimb(a *ring.Poly, out PolyQP, n, i int) {
-	s := c.RingQ.SubRings[i]
-	pMod := ProductMod(c.RingP.Moduli, s.Q)
-	pShoup := mathutil.ShoupPrecomp(pMod, s.Q)
+	q, pMod := c.RingQ.Moduli[i], c.pMod[i]
 	ai, oi := a.Coeffs[i], out.Q.Coeffs[i]
 	c.tr.Read(ai[:n])
 	for j := 0; j < n; j++ {
-		oi[j] = mathutil.MulModShoup(ai[j], pMod, pShoup, s.Q)
+		oi[j] = mathutil.MulModShoup(ai[j], pMod.w, pMod.ws, q)
 	}
 	c.tr.Write(oi[:n])
 }
